@@ -21,6 +21,7 @@ import (
 	"os/signal"
 
 	datascalar "github.com/wisc-arch/datascalar"
+	"github.com/wisc-arch/datascalar/internal/cli"
 )
 
 func main() {
@@ -103,23 +104,8 @@ func main() {
 		log.Fatalf("unknown ablation %q", *only)
 	}
 	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, artifact); err != nil {
+		if err := cli.WriteJSON(*jsonOut, os.Stdout, artifact); err != nil {
 			log.Fatal(err)
 		}
 	}
-}
-
-func writeJSON(path string, v any) error {
-	if path == "-" {
-		return datascalar.WriteResultJSON(os.Stdout, v)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := datascalar.WriteResultJSON(f, v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

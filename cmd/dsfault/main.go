@@ -73,10 +73,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	opts := datascalar.DefaultExperimentOptions()
 	opts.Scale = *scale
 	opts.Parallel = *parallel
+	opts.ParallelNodes = *parallelNodes
 
 	cc := datascalar.FaultCampaignConfig{
 		Seeds: *seeds, Nodes: *nodes, MaxInstr: *instr,
-		Topology: topo, ParallelNodes: *parallelNodes, Deaths: *deaths,
+		Topology: topo, Deaths: *deaths,
 	}
 	if *workloads != "" {
 		cc.Workloads = strings.Split(*workloads, ",")
@@ -106,25 +107,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, stdout, res); err != nil {
+		if err := cli.WriteJSON(*jsonOut, stdout, res); err != nil {
 			fmt.Fprintf(stderr, "dsfault: %v\n", err)
 			return cli.ExitFailure
 		}
 	}
 	return cli.ExitOK
-}
-
-func writeJSON(path string, stdout io.Writer, v any) error {
-	if path == "-" {
-		return datascalar.WriteResultJSON(stdout, v)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := datascalar.WriteResultJSON(f, v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

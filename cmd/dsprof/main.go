@@ -106,7 +106,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		t.Render(stdout)
 	}
 	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, stdout, prof); err != nil {
+		if err := cli.WriteJSON(*jsonOut, stdout, prof); err != nil {
 			return fail(err)
 		}
 	}
@@ -143,7 +143,7 @@ func runDiff(oldPath, newPath string, o datascalar.CPIDiffOptions, jsonOut strin
 		fmt.Fprintf(stdout, "dsprof: row %s only in %s\n", a, newPath)
 	}
 	if jsonOut != "" {
-		if err := writeJSON(jsonOut, stdout, d); err != nil {
+		if err := cli.WriteJSON(jsonOut, stdout, d); err != nil {
 			fmt.Fprintf(stderr, "dsprof: %v\n", err)
 			return cli.ExitFailure
 		}
@@ -175,19 +175,4 @@ func readProfile(path string) (datascalar.CPIProfileResult, error) {
 		return p, fmt.Errorf("%s: %w", path, err)
 	}
 	return p, nil
-}
-
-func writeJSON(path string, stdout io.Writer, v any) error {
-	if path == "-" {
-		return datascalar.WriteResultJSON(stdout, v)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := datascalar.WriteResultJSON(f, v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

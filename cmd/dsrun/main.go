@@ -48,48 +48,10 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	datascalar "github.com/wisc-arch/datascalar"
 	"github.com/wisc-arch/datascalar/internal/cli"
 )
-
-// startProfiles starts CPU profiling and arranges the end-of-run heap
-// profile; the returned stop function must run before exit (fatal-error
-// paths skip it — a failed run's profile is not useful).
-func startProfiles(cpu, mem string) (func(), error) {
-	var cpuF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuF = f
-	}
-	return func() {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				log.Print(err)
-				return
-			}
-			runtime.GC() // materialize the live heap before snapshotting
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Print(err)
-			}
-			f.Close()
-		}
-	}, nil
-}
 
 // runArtifact is the -json envelope: enough run identity to tell
 // artifacts apart, plus the model's full result.
@@ -157,22 +119,6 @@ func (o *observability) write(final any) error {
 	return nil
 }
 
-// writeArtifact emits the -json envelope to stdout ("-") or a file.
-func writeArtifact(path string, stdout io.Writer, a runArtifact) error {
-	if path == "-" {
-		return datascalar.WriteResultJSON(stdout, a)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := datascalar.WriteResultJSON(f, a); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dsrun: ")
@@ -219,7 +165,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return cli.ExitUsage
 	}
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return fail(err)
 	}
@@ -273,7 +219,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return
 		}
 		artifact.Result = result
-		artifactErr = writeArtifact(*jsonOut, stdout, artifact)
+		artifactErr = cli.WriteJSON(*jsonOut, stdout, artifact)
 	}
 
 	switch *system {

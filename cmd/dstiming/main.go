@@ -28,48 +28,10 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 
 	datascalar "github.com/wisc-arch/datascalar"
 	"github.com/wisc-arch/datascalar/internal/cli"
 )
-
-// startProfiles starts CPU profiling and arranges the end-of-run heap
-// profile; the returned stop function must run before exit (fatal-error
-// paths skip it — a failed run's profile is not useful).
-func startProfiles(cpu, mem string) (func(), error) {
-	var cpuF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuF = f
-	}
-	return func() {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				log.Print(err)
-				return
-			}
-			runtime.GC() // materialize the live heap before snapshotting
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Print(err)
-			}
-			f.Close()
-		}
-	}, nil
-}
 
 func main() {
 	log.SetFlags(0)
@@ -110,7 +72,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return fail(err)
 	}
@@ -157,24 +119,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if *jsonOut != "" {
 		artifact := map[string]any{"figure7": f7, "table3": datascalar.Table3(f7)}
-		if err := writeJSON(*jsonOut, stdout, artifact); err != nil {
+		if err := cli.WriteJSON(*jsonOut, stdout, artifact); err != nil {
 			return fail(err)
 		}
 	}
 	return cli.ExitOK
-}
-
-func writeJSON(path string, stdout io.Writer, v any) error {
-	if path == "-" {
-		return datascalar.WriteResultJSON(stdout, v)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := datascalar.WriteResultJSON(f, v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -456,14 +456,8 @@ func ParseTopologyKind(s string) (TopologyKind, error) { return bus.ParseTopolog
 
 // LinkConfig parameterizes the per-link datapath of the multi-hop
 // topologies (ring, mesh, torus); set it on Config.Topology.Link.
+// DefaultTopology().Link holds links matching the default bus.
 type LinkConfig = bus.LinkConfig
-
-// RingConfig is the former name of LinkConfig, kept for callers of the
-// pre-topology API.
-type RingConfig = bus.RingConfig
-
-// DefaultRingConfig returns ring links matching the default bus.
-func DefaultRingConfig() RingConfig { return bus.DefaultRingConfig() }
 
 // ---------------------------------------------------------------------------
 // Resilience: deterministic fault injection, divergence detection, and

@@ -32,7 +32,7 @@ func TestBusTickZeroAllocs(t *testing.T) {
 // buffers across cycles; after a warmup drain that grows them to their
 // high-water marks, per-cycle ticking must be allocation-free.
 func TestRingTickZeroAllocs(t *testing.T) {
-	r := NewRing(DefaultRingConfig(), 4)
+	r := NewRing(DefaultLinkConfig(), 4)
 	enqueue := func(base uint64) {
 		for i := 0; i < 64; i++ {
 			r.Enqueue(Message{

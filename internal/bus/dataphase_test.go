@@ -79,7 +79,7 @@ func TestBusDataPhaseBlockedVsQueued(t *testing.T) {
 }
 
 func TestRingDataPhase(t *testing.T) {
-	r := NewRing(DefaultRingConfig(), 4)
+	r := NewRing(DefaultLinkConfig(), 4)
 	if p := r.DataPhase(0x100, 2, 0); p != PhaseAbsent {
 		t.Fatalf("empty ring: phase = %v, want absent", p)
 	}
@@ -115,7 +115,7 @@ func TestDataPhaseZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Bus.DataPhase allocated %.2f times per call", allocs)
 	}
-	r := NewRing(DefaultRingConfig(), 4)
+	r := NewRing(DefaultLinkConfig(), 4)
 	r.Enqueue(Message{Kind: Broadcast, Src: 0, Addr: 0x100, PayloadBytes: 32, ReadyAt: 0})
 	r.Tick(0)
 	if allocs := testing.AllocsPerRun(1000, func() {

@@ -21,18 +21,11 @@ type LinkConfig struct {
 	HopCycles uint64
 }
 
-// RingConfig is the historical name for LinkConfig, kept because the
-// public facade exported it before the mesh and torus shared the type.
-type RingConfig = LinkConfig
-
 // DefaultLinkConfig returns links matching the default bus width at the
 // same clock with a one-cycle hop latency.
 func DefaultLinkConfig() LinkConfig {
 	return LinkConfig{WidthBytes: 8, ClockDivisor: 2, HopCycles: 1}
 }
-
-// DefaultRingConfig returns DefaultLinkConfig under its historical name.
-func DefaultRingConfig() RingConfig { return DefaultLinkConfig() }
 
 // Validate checks structural soundness.
 func (c LinkConfig) Validate() error {
@@ -83,7 +76,7 @@ type ringMsg struct {
 // bandwidth scales with node count — the reason the paper prefers rings
 // for larger systems — at the cost of multi-hop broadcast latency.
 type Ring struct {
-	cfg RingConfig
+	cfg LinkConfig
 	n   int
 	// linkFree[i] is the first cycle link i->i+1 is idle.
 	linkFree []uint64
@@ -105,7 +98,7 @@ func (r *Ring) SetObserver(o obs.Observer) { r.obs = o }
 
 // NewRing builds a ring of numNodes nodes. It panics on invalid
 // configuration (experiment-setup error).
-func NewRing(cfg RingConfig, numNodes int) *Ring {
+func NewRing(cfg LinkConfig, numNodes int) *Ring {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -116,7 +109,7 @@ func NewRing(cfg RingConfig, numNodes int) *Ring {
 }
 
 // Config returns the ring configuration.
-func (r *Ring) Config() RingConfig { return r.cfg }
+func (r *Ring) Config() LinkConfig { return r.cfg }
 
 // NetStats implements Network.
 func (r *Ring) NetStats() *Stats { return &r.stats }

@@ -17,7 +17,7 @@ func runRing(r *Ring, until uint64) map[uint64][]Arrival {
 }
 
 func TestRingBroadcastVisitsEveryNode(t *testing.T) {
-	r := NewRing(RingConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 4)
+	r := NewRing(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 4)
 	r.Enqueue(Message{Kind: Broadcast, Src: 1, Addr: 0x100, PayloadBytes: 8})
 	byCycle := runRing(r, 100)
 
@@ -44,7 +44,7 @@ func TestRingBroadcastVisitsEveryNode(t *testing.T) {
 }
 
 func TestRingPointToPointStopsAtDst(t *testing.T) {
-	r := NewRing(DefaultRingConfig(), 4)
+	r := NewRing(DefaultLinkConfig(), 4)
 	r.Enqueue(Message{Kind: Request, Src: 0, Dst: 2, Addr: 0x40})
 	byCycle := runRing(r, 200)
 	var arrivals []Arrival
@@ -59,7 +59,7 @@ func TestRingPointToPointStopsAtDst(t *testing.T) {
 func TestRingLinksCarryConcurrently(t *testing.T) {
 	// Two point-to-point messages on disjoint links must not serialize:
 	// 0->1 and 2->3 use links 0 and 2.
-	cfg := RingConfig{WidthBytes: 8, ClockDivisor: 4, HopCycles: 0}
+	cfg := LinkConfig{WidthBytes: 8, ClockDivisor: 4, HopCycles: 0}
 	r := NewRing(cfg, 4)
 	r.Enqueue(Message{Kind: Request, Src: 0, Dst: 1})
 	r.Enqueue(Message{Kind: Request, Src: 2, Dst: 3})
@@ -94,7 +94,7 @@ func TestRingLinksCarryConcurrently(t *testing.T) {
 }
 
 func TestRingHonorsReadyAt(t *testing.T) {
-	r := NewRing(RingConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 2)
+	r := NewRing(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 2)
 	r.Enqueue(Message{Kind: Broadcast, Src: 0, ReadyAt: 50})
 	byCycle := runRing(r, 200)
 	for cyc := range byCycle {
@@ -108,10 +108,10 @@ func TestRingHonorsReadyAt(t *testing.T) {
 }
 
 func TestRingValidation(t *testing.T) {
-	if err := (RingConfig{WidthBytes: 0, ClockDivisor: 1}).Validate(); err == nil {
+	if err := (LinkConfig{WidthBytes: 0, ClockDivisor: 1}).Validate(); err == nil {
 		t.Error("zero width accepted")
 	}
-	if err := (RingConfig{WidthBytes: 8, ClockDivisor: 0}).Validate(); err == nil {
+	if err := (LinkConfig{WidthBytes: 8, ClockDivisor: 0}).Validate(); err == nil {
 		t.Error("zero divisor accepted")
 	}
 	mustPanic := func(name string, f func()) {
@@ -122,8 +122,8 @@ func TestRingValidation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("bad nodes", func() { NewRing(DefaultRingConfig(), 0) })
-	mustPanic("bad src", func() { NewRing(DefaultRingConfig(), 2).Enqueue(Message{Src: 9}) })
+	mustPanic("bad nodes", func() { NewRing(DefaultLinkConfig(), 0) })
+	mustPanic("bad src", func() { NewRing(DefaultLinkConfig(), 2).Enqueue(Message{Src: 9}) })
 }
 
 // Property: every broadcast is delivered to exactly n-1 nodes and the
@@ -134,7 +134,7 @@ func TestRingConservationQuick(t *testing.T) {
 			srcs = srcs[:24]
 		}
 		const n = 5
-		r := NewRing(RingConfig{WidthBytes: 4, ClockDivisor: 2, HopCycles: 1}, n)
+		r := NewRing(LinkConfig{WidthBytes: 4, ClockDivisor: 2, HopCycles: 1}, n)
 		for i, s := range srcs {
 			r.Enqueue(Message{
 				Kind:         Broadcast,

@@ -1,15 +1,22 @@
 // Package cli holds the small pieces the cmd/ binaries share: the
-// process exit-code convention and the fault-injection flag set. Keeping
-// them here means every binary classifies failures identically, and the
-// in-process CLI tests can assert on the codes.
+// process exit-code convention, the fault-injection flag set, the JSON
+// artifact writer and the pprof profile flags. Keeping them here means
+// every binary classifies failures identically, and the in-process CLI
+// tests can assert on the codes.
 package cli
 
 import (
 	"errors"
 	"flag"
+	"io"
+	"log"
+	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"github.com/wisc-arch/datascalar/internal/core"
 	"github.com/wisc-arch/datascalar/internal/fault"
+	"github.com/wisc-arch/datascalar/internal/sim"
 )
 
 // Process exit codes (documented in README.md). Scripts drive the
@@ -79,22 +86,79 @@ func (f *FaultFlags) Register(fs *flag.FlagSet) {
 	fs.Uint64Var(&f.FPInterval, "fault-fp-interval", 0, "memory commits between commit-fingerprint broadcasts (0 = off)")
 }
 
-// Config assembles the fault.Config the flags describe.
+// Config assembles the fault.Config the flags describe; a death cycle
+// becomes a one-entry death schedule.
 func (f *FaultFlags) Config() fault.Config {
-	return fault.Config{
+	c := fault.Config{
 		Seed:                f.Seed,
 		DropRate:            f.Drop,
 		DelayRate:           f.Delay,
 		DelayMaxCycles:      f.DelayMax,
 		FlipRate:            f.Flip,
-		DeadNode:            f.DeadNode,
-		DeathCycle:          f.DeathCycle,
 		Recover:             f.Recover,
 		RetryTimeoutCycles:  f.RetryTimeout,
 		MaxRetries:          f.MaxRetries,
 		FingerprintInterval: f.FPInterval,
 	}
+	if f.DeathCycle != 0 {
+		c.Deaths = []fault.Death{{Node: f.DeadNode, Cycle: f.DeathCycle}}
+	}
+	return c
 }
 
 // Active reports whether the flags request any injection at all.
 func (f *FaultFlags) Active() bool { return f.Config().Enabled() }
+
+// WriteJSON writes v as an indented JSON artifact to path, or to stdout
+// when path is "-".
+func WriteJSON(path string, stdout io.Writer, v any) error {
+	if path == "-" {
+		return sim.WriteJSON(stdout, v)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := sim.WriteJSON(f, v); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// StartProfiles starts CPU profiling to cpu and arranges a heap profile
+// to mem (either may be empty); the returned stop function must run
+// before exit (fatal-error paths skip it — a failed run's profile is not
+// useful).
+func StartProfiles(cpu, mem string) (func(), error) {
+	var cpuF *os.File
+	if cpu != "" {
+		f, err := os.Create(cpu)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+		cpuF = f
+	}
+	return func() {
+		if cpuF != nil {
+			pprof.StopCPUProfile()
+			cpuF.Close()
+		}
+		if mem != "" {
+			f, err := os.Create(mem)
+			if err != nil {
+				log.Print(err)
+				return
+			}
+			runtime.GC() // materialize the live heap before snapshotting
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				log.Print(err)
+			}
+			f.Close()
+		}
+	}, nil
+}

@@ -200,6 +200,7 @@ func (b *BSHR) newWaiting(tok ooo.LoadToken) []ooo.LoadToken {
 // Arrive delivers a broadcast of line at cycle now. It returns the load
 // tokens released (empty when the broadcast was buffered or squashed);
 // the returned slice is only valid until the next Arrive call.
+//
 //dsvet:hotpath
 func (b *BSHR) Arrive(line uint64, now uint64) []ooo.LoadToken {
 	b.stats.Arrivals.Inc()

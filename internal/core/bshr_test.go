@@ -61,7 +61,7 @@ func TestBSHRBufferedHit(t *testing.T) {
 func TestBSHREarliestFirstMatching(t *testing.T) {
 	b := NewBSHR(8)
 	b.Request(0x100, 1, 0) // first waiting entry
-	b.Arrive(0x100, 5)  // matches entry with tok 1
+	b.Arrive(0x100, 5)     // matches entry with tok 1
 	b.Request(0x100, 2, 0)
 	toks := b.Arrive(0x100, 9)
 	if len(toks) != 1 || toks[0] != 2 {

@@ -78,7 +78,7 @@ func newFaultState(cfg fault.Config, nodes int) *faultState {
 		flippedAt: make([]uint64, nodes),
 		flipCount: make([]uint64, nodes),
 	}
-	fs.schedule = fs.plan.Schedule(nodes)
+	fs.schedule = fs.plan.Schedule()
 	for i := range fs.deathIdx {
 		fs.deathIdx[i] = -1
 	}
@@ -161,7 +161,6 @@ func (m *Machine) killNode(id int) {
 	if m.obs != nil {
 		m.obs.Event(obs.Event{Cycle: m.now, Node: id, Kind: obs.EvFaultDeath, Arg: uint64(purged)})
 	}
-	m.traceEvent(id, "fault: permanent death, purged %d unsent messages", purged)
 	// Fingerprint intervals that were only waiting on the dead node can
 	// now be cross-checked among the survivors.
 	fs.flushFingerprints(m)
@@ -252,14 +251,12 @@ func (m *Machine) faultArrivalLocal(nd *node, msg bus.Message, now uint64) bool 
 	case bus.CtlRetryResp:
 		// A directed resend satisfies the waiting BSHR entry exactly like
 		// the lost broadcast would have.
-		m.traceEvent(nd.id, "fault: retry response line=0x%x from node %d", msg.Addr, msg.Src)
 		nd.onBroadcast(msg.Addr, now)
 		return true
 	case bus.CtlFingerprint:
 		return true // ledger-only: handled on the global side
 	case bus.CtlWarmFill:
 		nd.obsEvent(obs.EvFaultWarmFill, msg.Addr, uint64(msg.Src))
-		m.traceEvent(nd.id, "fault: warm fill page=0x%x from node %d", msg.Addr, msg.Src)
 		return true
 	}
 	if msg.Kind != bus.Broadcast {
@@ -270,7 +267,6 @@ func (m *Machine) faultArrivalLocal(nd *node, msg bus.Message, now uint64) bool 
 	// reliable control is what bounds detection time.
 	if fs.plan.DropArrival(msg.Src, nd.id, msg.Addr, msg.Seq) {
 		nd.obsEvent(obs.EvFaultDrop, msg.Addr, uint64(msg.Src))
-		m.traceEvent(nd.id, "fault: dropped delivery line=0x%x from node %d", msg.Addr, msg.Src)
 		return true
 	}
 	if taint, ok := fs.plan.FlipArrival(msg.Src, nd.id, msg.Addr, msg.Seq); ok {
@@ -294,7 +290,6 @@ func (m *Machine) faultArrivalLocal(nd *node, msg bus.Message, now uint64) bool 
 func (m *Machine) serveRetry(nd *node, msg bus.Message, now uint64) {
 	dataAt := nd.dram.Access(now, msg.Addr)
 	nd.obsEvent(obs.EvFaultRetryServed, msg.Addr, uint64(msg.Src))
-	m.traceEvent(nd.id, "fault: serving retry line=0x%x for node %d", msg.Addr, msg.Src)
 	nd.net.Enqueue(bus.Message{
 		Kind:         bus.Response,
 		Ctl:          bus.CtlRetryResp,
@@ -365,7 +360,6 @@ func (m *Machine) onTimeout(nd *node, ex ExpiredWait) {
 func (m *Machine) sendRetry(nd *node, line uint64, owner int) {
 	m.fault.stats.Retries++
 	nd.obsEvent(obs.EvFaultRetry, line, uint64(owner))
-	m.traceEvent(nd.id, "fault: retry line=0x%x -> owner %d", line, owner)
 	m.net.Enqueue(bus.Message{
 		Kind:    bus.Request,
 		Ctl:     bus.CtlRetryReq,
@@ -460,7 +454,6 @@ func (m *Machine) remapDead(dead int) {
 	if m.obs != nil {
 		m.obs.Event(obs.Event{Cycle: m.now, Node: ringSucc, Kind: obs.EvFaultRemap, Arg: uint64(len(moved))})
 	}
-	m.traceEvent(ringSucc, "fault: remapped %d pages from dead node %d", len(moved), dead)
 	// Warm-fill: bounded re-replication of the inherited pages. The
 	// payload is one line per page — ownership metadata plus the hot
 	// line; the backing-copy assumption makes the rest of the page a
@@ -536,7 +529,6 @@ func (m *Machine) selfServe(nd *node, line uint64) {
 		e.pending = false
 		e.dataAt = dataAt
 	}
-	m.traceEvent(nd.id, "fault: self-served line=0x%x as new owner", line)
 }
 
 // emitFingerprint broadcasts node n's commit fingerprint at an interval

@@ -143,7 +143,7 @@ func TestFaultDeterministicAndSkipInvariant(t *testing.T) {
 	run := func(noSkip bool) Result {
 		m := buildMachine(t, streamSum, 4, func(c *Config) {
 			c.Fault = cfg
-			c.NoCycleSkip = noSkip
+			c.Core.NoCycleSkip = noSkip
 		})
 		return mustRunMachine(t, m)
 	}
@@ -184,8 +184,7 @@ func TestDeathRecovery(t *testing.T) {
 	m := buildMachine(t, streamSum, 2, func(c *Config) {
 		c.Fault = fault.Config{
 			Seed:               1,
-			DeadNode:           1,
-			DeathCycle:         4_000,
+			Deaths:             []fault.Death{{Node: 1, Cycle: 4_000}},
 			Recover:            true,
 			RetryTimeoutCycles: 500,
 			MaxRetries:         2,
@@ -223,8 +222,7 @@ func TestDeathHalt(t *testing.T) {
 	m := buildMachine(t, streamSum, 2, func(c *Config) {
 		c.Fault = fault.Config{
 			Seed:               1,
-			DeadNode:           1,
-			DeathCycle:         4_000,
+			Deaths:             []fault.Death{{Node: 1, Cycle: 4_000}},
 			RetryTimeoutCycles: 500,
 			MaxRetries:         2,
 		}

@@ -242,7 +242,7 @@ func fuzzDeathSchedule(rng *stats.RNG, nodes int) []fault.Death {
 
 // fuzzFaultConfig derives a random-but-valid fault plan from the fuzzer
 // RNG: any mix of drops, delays, flips (with or without the fingerprint
-// exchange that could catch them), and a mid-run death — legacy single
+// exchange that could catch them), and a mid-run death — a single one
 // or an ordered multi-death schedule.
 func fuzzFaultConfig(rng *stats.RNG, nodes int) fault.Config {
 	fc := fault.Config{
@@ -264,9 +264,9 @@ func fuzzFaultConfig(rng *stats.RNG, nodes int) fault.Config {
 		fc.FingerprintInterval = uint64(64 << rng.Intn(4))
 	}
 	switch rng.Intn(6) {
-	case 0, 1: // legacy single death
-		fc.DeadNode = rng.Intn(nodes)
-		fc.DeathCycle = uint64(1_000 + rng.Intn(20_000))
+	case 0, 1: // single death
+		node := rng.Intn(nodes)
+		fc.Deaths = []fault.Death{{Node: node, Cycle: uint64(1_000 + rng.Intn(20_000))}}
 		fc.Recover = rng.Intn(2) == 0
 	case 2: // ordered multi-death schedule
 		fc.Deaths = fuzzDeathSchedule(rng, nodes)

@@ -60,10 +60,6 @@ type Config struct {
 	// committed memory operations for the correspondence check (0
 	// disables sampling; the final state is always checked).
 	DigestInterval uint64
-	// TraceLine, when non-zero, records every protocol event touching
-	// that line address for post-mortem debugging; the trace is appended
-	// to deadlock errors.
-	TraceLine uint64
 	// Observer receives typed protocol events (broadcasts, BSHR
 	// activity, false hits/misses, commit fills, bus grants) and — when
 	// SampleInterval is set — interval metric samples. nil disables all
@@ -75,11 +71,6 @@ type Config struct {
 	// that many cycles, plus one final partial interval at end of run
 	// (0 disables sampling; ignored without an Observer).
 	SampleInterval uint64
-	// NoCycleSkip forces Run back to pure cycle-by-cycle polling,
-	// disabling the next-event scheduler. Results are bit-identical
-	// either way (enforced by the differential suite in internal/sim);
-	// the flag exists so that equivalence stays testable.
-	NoCycleSkip bool
 	// Fault configures the deterministic fault-injection and resilience
 	// layer (broadcast drops/delays/bit-flips, permanent node death with
 	// optional degraded-mode recovery, BSHR timeout/retry detection, and
@@ -102,7 +93,7 @@ type Config struct {
 	// message identity, deaths land at window boundaries, and retry
 	// deadlines clip the horizon — except plans whose retry timeout or
 	// backoff cap is shorter than one window (see faultParallelOK),
-	// which fall back to serial, as does TraceLine.
+	// which fall back to serial.
 	ParallelNodes int
 	// ResultComm enables result communication (paper Section 5.1):
 	// PRIVB/PRIVE regions execute only at the node owning their data,
@@ -159,7 +150,7 @@ func (c Config) Validate() error {
 	if err := c.Fault.ValidateFor(c.Nodes); err != nil {
 		return err
 	}
-	if (c.Fault.DeathCycle != 0 || len(c.Fault.Deaths) > 0 || c.Fault.DeathRate > 0) && c.Nodes < 2 {
+	if len(c.Fault.Deaths) > 0 && c.Nodes < 2 {
 		return fmt.Errorf("core: node death needs at least two nodes")
 	}
 	if c.L1.Alloc != cache.WriteNoAllocate {
@@ -199,12 +190,11 @@ type Result struct {
 
 // Machine is an N-node DataScalar system.
 type Machine struct {
-	cfg    Config
-	pt     *mem.PageTable
-	net    bus.Network
-	nodes  []*node
-	now    uint64
-	events []string // TraceLine event log
+	cfg   Config
+	pt    *mem.PageTable
+	net   bus.Network
+	nodes []*node
+	now   uint64
 
 	// obs mirrors cfg.Observer for nil-guarded hot-path checks; sampler
 	// holds the interval-delta state when sampling is enabled.
@@ -231,16 +221,6 @@ type nodeSampleState struct {
 	issueHits   uint64
 	issueMisses uint64
 	stack       obs.CPIStack
-}
-
-// Events returns the TraceLine event log (debugging).
-func (m *Machine) Events() []string { return m.events }
-
-func (m *Machine) traceEvent(node int, format string, args ...any) {
-	if m.cfg.TraceLine == 0 {
-		return // tracing off: no formatting work on the hot path
-	}
-	m.events = append(m.events, fmt.Sprintf("cycle=%d node=%d ", m.now, node)+fmt.Sprintf(format, args...))
 }
 
 // NewMachine builds a DataScalar machine executing program p under the
@@ -347,7 +327,7 @@ func (m *Machine) Network() bus.Network { return m.net }
 // next event; see docs/PERFORMANCE.md for the invariants that make the
 // skipped and polled runs bit-identical.
 func (m *Machine) Run() (Result, error) {
-	if m.cfg.ParallelNodes > 1 && m.cfg.Nodes > 1 && m.cfg.TraceLine == 0 && m.faultParallelOK() {
+	if m.cfg.ParallelNodes > 1 && m.cfg.Nodes > 1 && m.faultParallelOK() {
 		// Conservative parallel intra-run simulation: byte-identical to
 		// the loop below (see internal/core/parallel.go and the
 		// differential suite in internal/sim). Fault plans run in
@@ -355,9 +335,10 @@ func (m *Machine) Run() (Result, error) {
 		// identity, so workers predict faulted deliveries and the replay
 		// re-derives the global bookkeeping in serial order; only plans
 		// whose retry timing could fire inside a window (see
-		// faultParallelOK) and TraceLine stay serial.
+		// faultParallelOK) stay serial.
 		return m.runParallel()
 	}
+	noSkip := m.cfg.Core.NoCycleSkip
 	watchdog := m.cfg.WatchdogCycles
 	if watchdog == 0 {
 		watchdog = 2_000_000
@@ -413,7 +394,7 @@ func (m *Machine) Run() (Result, error) {
 				nd.core.CPIStack().Add(obs.StallDead, 1)
 			case nd.core.Done():
 				nd.core.CPIStack().Add(obs.StallHalted, 1)
-			case !m.cfg.NoCycleSkip && nd.wake > m.now:
+			case !noSkip && nd.wake > m.now:
 				// Asleep: the node's own certificate (set when it last ran)
 				// says every Cycle before nd.wake is a no-op apart from its
 				// deterministic stall accounting, which SkipCycles replays
@@ -427,7 +408,7 @@ func (m *Machine) Run() (Result, error) {
 				if err := nd.core.Err(); err != nil {
 					return Result{}, fmt.Errorf("core: node %d: %w", nd.id, err)
 				}
-				if !m.cfg.NoCycleSkip {
+				if !noSkip {
 					// Re-certify: sleep until the core's next event. A
 					// declined certificate (ok=false) means run again next
 					// cycle.
@@ -456,7 +437,7 @@ func (m *Machine) Run() (Result, error) {
 		if m.sampler != nil && m.now%m.cfg.SampleInterval == 0 {
 			m.emitSamples()
 		}
-		if !m.cfg.NoCycleSkip {
+		if !noSkip {
 			m.skipIdle(lastProgress, watchdog)
 		}
 	}
@@ -624,8 +605,6 @@ type DeadlockError struct {
 	NetPending int
 	// Nodes is the per-node snapshot, in node order.
 	Nodes []DeadlockNode
-	// Events is the TraceLine event tail, when tracing was on.
-	Events []string
 }
 
 // DeadlockNode is one node's state inside a DeadlockError.
@@ -662,9 +641,6 @@ func (e *DeadlockError) Error() string {
 		}
 		fmt.Fprintf(&b, " buffered=%d}", n.Buffered)
 	}
-	for _, ev := range e.Events {
-		b.WriteString("\n  " + ev)
-	}
 	return b.String()
 }
 
@@ -690,13 +666,6 @@ func (m *Machine) deadlockError() error {
 			})
 		}
 		e.Nodes = append(e.Nodes, dn)
-	}
-	if n := len(m.events); n > 0 {
-		start := 0
-		if n > 80 {
-			start = n - 80
-		}
-		e.Events = append(e.Events, m.events[start:]...)
 	}
 	return e
 }

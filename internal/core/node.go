@@ -93,7 +93,7 @@ type issueInfo struct {
 type node struct {
 	id  int
 	cfg *Config
-	m   *Machine // for event tracing
+	m   *Machine // for the fault layer
 	// obs mirrors cfg.Observer (nil = observation disabled). Event
 	// emission sits on the issue/commit hot path, so the nil check must
 	// be one load — and with a nil observer obsEvent does no work and
@@ -111,7 +111,7 @@ type node struct {
 	dram *mem.DRAM
 	bshr *BSHR
 	pt   *mem.PageTable
-	net  bus.Network
+	net  nodeNet
 
 	outstanding map[uint64]*missEntry
 	// missFree recycles missEntry records: steady state opens and closes
@@ -137,7 +137,7 @@ type node struct {
 	// node via SkipCycles instead of running it, and any event that
 	// could invalidate the certificate — a network arrival, a fault
 	// self-serve — rewinds wake to the current cycle. Unused (always
-	// zero) under NoCycleSkip, which is how the differential suite pins
+	// zero) under Core.NoCycleSkip, which is how the differential suite pins
 	// the sparse loop's bit-identity.
 	wake uint64
 
@@ -150,6 +150,15 @@ type node struct {
 
 var _ ooo.MemPort = (*node)(nil)
 var _ ooo.LoadClassifier = (*node)(nil)
+
+// nodeNet is the part of the interconnect a node uses: it sends messages
+// and asks where an awaited broadcast is. Everything else (Tick, purges,
+// stats, lookahead) is machine-level and goes to Machine.net, so a
+// parallel run can lease each node a two-method shim.
+type nodeNet interface {
+	Enqueue(m bus.Message)
+	DataPhase(addr uint64, dst int, now uint64) bus.MsgPhase
+}
 
 // ClassifyLoad implements ooo.LoadClassifier: it names the leaf cause
 // blocking an in-flight load that heads the window. The answer is a pure
@@ -180,7 +189,14 @@ func (n *node) ClassifyLoad(now uint64, tok ooo.LoadToken, addr uint64) obs.Stal
 	if n.bshr.WaitRetries(e.line) > 0 {
 		return obs.StallMemRetry
 	}
-	switch n.net.DataPhase(e.line, n.id, now) {
+	return phaseStall(n.net.DataPhase(e.line, n.id, now))
+}
+
+// phaseStall maps where a waited-on broadcast is on the interconnect to
+// the stall it causes. ClassifyLoad charges it live; a parallel run's
+// replay re-resolves the queries its workers answered provisionally.
+func phaseStall(ph bus.MsgPhase) obs.StallKind {
+	switch ph {
 	case bus.PhaseTransfer:
 		return obs.StallESPSerial
 	case bus.PhaseBlocked:
@@ -205,11 +221,6 @@ func (n *node) obsEvent(kind obs.EventKind, addr, arg uint64) {
 // IssueLoad implements ooo.MemPort: the issue-time load path of Figure 5.
 func (n *node) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) (uint64, bool) {
 	line := n.l1.LineAddr(addr)
-	if n.cfg.TraceLine != 0 && line == n.cfg.TraceLine {
-		e := n.outstanding[line]
-		n.m.traceEvent(n.id, "issue tok=%d probe=%v entry=%v pending=%v", tok, n.l1.Probe(addr), e != nil, e != nil && e.pending)
-	}
-
 	// Merge into an outstanding miss episode if one exists.
 	if e, ok := n.outstanding[line]; ok {
 		n.stats.IssueMisses.Inc()
@@ -289,9 +300,6 @@ func (n *node) CommitLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) 
 	}
 	delete(n.inflight, tok)
 	line := n.l1.LineAddr(addr)
-	if n.cfg.TraceLine != 0 && line == n.cfg.TraceLine {
-		n.m.traceEvent(n.id, "commitLoad tok=%d issueHit=%v commitHit=%v memCommits=%d", tok, info.hit, n.l1.Probe(addr), n.memCommits)
-	}
 
 	e := n.outstanding[line]
 
@@ -336,9 +344,6 @@ func (n *node) CommitLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) 
 			e.claimed = false
 		} else {
 			// No local consumer for this fill's broadcast: absorb it.
-			if n.cfg.TraceLine != 0 && line == n.cfg.TraceLine {
-				n.m.traceEvent(n.id, "absorb")
-			}
 			n.bshr.Absorb(line)
 		}
 	}
@@ -437,9 +442,6 @@ func (n *node) disposeWriteback(now uint64, lineAddr uint64) {
 // broadcast enqueues an ESP push of line onto the global bus, leaving the
 // chip after the broadcast-queue penalty.
 func (n *node) broadcast(line uint64, readyAt uint64, reparative bool) {
-	if n.cfg.TraceLine != 0 && line == n.cfg.TraceLine {
-		n.m.traceEvent(n.id, "broadcast readyAt=%d reparative=%v", readyAt, reparative)
-	}
 	n.stats.Broadcasts.Inc()
 	if reparative {
 		n.stats.LateBroadcasts.Inc()
@@ -474,9 +476,6 @@ func (n *node) broadcast(line uint64, readyAt uint64, reparative bool) {
 
 // onBroadcast handles a line arriving from the bus.
 func (n *node) onBroadcast(line uint64, now uint64) {
-	if n.cfg.TraceLine != 0 && line == n.cfg.TraceLine {
-		n.m.traceEvent(n.id, "arrive waiting=%v", n.bshr.HasWaiter(line))
-	}
 	toks := n.bshr.Arrive(line, now)
 	for _, tok := range toks {
 		n.core.CompleteLoad(tok, now+n.cfg.BSHRCycles)

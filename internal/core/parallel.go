@@ -91,9 +91,9 @@ type predRec struct {
 }
 
 // parNode is one node's window-execution state plus the shim leased to
-// the node while workers own it: it impersonates the interconnect
-// (buffering Enqueues, recording DataPhase queries) and the observer
-// (buffering events under deterministic tags).
+// the node while workers own it: it impersonates the node's view of the
+// interconnect (buffering Enqueues, recording DataPhase queries) and the
+// observer (buffering events under deterministic tags).
 type parNode struct {
 	nd *node
 	// now is the node's private clock while leased: obsEvent and the
@@ -129,7 +129,7 @@ type parNode struct {
 	err      error
 }
 
-var _ bus.Network = (*parNode)(nil)
+var _ nodeNet = (*parNode)(nil)
 var _ obs.Observer = (*parNode)(nil)
 
 // Event implements obs.Observer: buffer under the current tag.
@@ -143,14 +143,14 @@ func (pn *parNode) Event(ev obs.Event) {
 // machine at barriers, never through a leased node.
 func (pn *parNode) Sample(obs.Sample) { panic("core: parallel: sample through node shim") }
 
-// Enqueue implements bus.Network: buffer for replay.
+// Enqueue implements nodeNet: buffer for replay.
 //
 //dsvet:hotpath
 func (pn *parNode) Enqueue(m bus.Message) {
 	pn.enq = append(pn.enq, enqRec{cyc: pn.now, msg: m})
 }
 
-// DataPhase implements bus.Network: record the query and answer
+// DataPhase implements nodeNet: record the query and answer
 // PhaseAbsent provisionally. ClassifyLoad maps PhaseAbsent to
 // StallMemRemote, so the window charges StallMemRemote; replay re-runs
 // the query against true interconnect state and moves the charge when
@@ -161,24 +161,6 @@ func (pn *parNode) Enqueue(m bus.Message) {
 func (pn *parNode) DataPhase(addr uint64, dst int, now uint64) bus.MsgPhase {
 	pn.qry = append(pn.qry, qryRec{cyc: now, line: addr})
 	return bus.PhaseAbsent
-}
-
-// The remaining bus.Network methods are never reached through a node
-// (nodes only Enqueue and query DataPhase; machine-level interconnect
-// calls go to the real network).
-func (pn *parNode) Tick(uint64) []bus.Arrival { panic("core: parallel: Tick through node shim") }
-func (pn *parNode) Pending() int              { panic("core: parallel: Pending through node shim") }
-func (pn *parNode) SourcePending(int) int     { panic("core: parallel: SourcePending through node shim") }
-func (pn *parNode) PurgeSource(int) int       { panic("core: parallel: PurgeSource through node shim") }
-func (pn *parNode) NextDeliveryCycle(uint64) uint64 {
-	panic("core: parallel: NextDeliveryCycle through node shim")
-}
-func (pn *parNode) NetStats() *bus.Stats     { panic("core: parallel: NetStats through node shim") }
-func (pn *parNode) SetObserver(obs.Observer) { panic("core: parallel: SetObserver through node shim") }
-func (pn *parNode) Lookahead() uint64        { panic("core: parallel: Lookahead through node shim") }
-func (pn *parNode) NewScratch() bus.Network  { panic("core: parallel: NewScratch through node shim") }
-func (pn *parNode) CopyStateFrom(bus.Network) {
-	panic("core: parallel: CopyStateFrom through node shim")
 }
 
 // parWindow is one window assignment sent to every worker.
@@ -203,7 +185,10 @@ type flatPred struct {
 
 // parRunner coordinates one parallel run.
 type parRunner struct {
-	m       *Machine
+	m *Machine
+	// net is m.net as a node sees it, converted once for the many
+	// unleases.
+	net     nodeNet
 	pnodes  []*parNode
 	workers []*parWorker
 	scratch bus.Network
@@ -218,6 +203,7 @@ type parRunner struct {
 func newParRunner(m *Machine) *parRunner {
 	p := &parRunner{
 		m:       m,
+		net:     m.net,
 		scratch: m.net.NewScratch(),
 	}
 	// senderFloor: every message the timing model enqueues at cycle c has
@@ -267,7 +253,7 @@ func (p *parRunner) leaseNet(lease bool) {
 		if lease {
 			pn.nd.net = pn
 		} else {
-			pn.nd.net = p.m.net
+			pn.nd.net = p.net
 		}
 	}
 }
@@ -291,7 +277,7 @@ func (p *parRunner) leaseAll(lease bool) {
 				nd.l1.SetObserver(pn, nd.id, &pn.now)
 			}
 		} else {
-			nd.net = m.net
+			nd.net = p.net
 			nd.clock = &m.now
 			if m.obs != nil {
 				nd.obs = m.obs
@@ -311,7 +297,7 @@ func (p *parRunner) shutdown() {
 	}
 	m := p.m
 	for _, nd := range m.nodes {
-		nd.net = m.net
+		nd.net = p.net
 		nd.clock = &m.now
 		if m.obs != nil {
 			nd.obs = m.obs
@@ -337,7 +323,7 @@ func (w *parWorker) loop() {
 // inside it — so each node runs to the horizon in turn, which also
 // keeps its state hot in cache.
 func (w *parWorker) runWindow(t, h uint64) {
-	noSkip := w.m.cfg.NoCycleSkip
+	noSkip := w.m.cfg.Core.NoCycleSkip
 	obsOn := w.m.obs != nil
 	fs := w.m.fault
 	for _, pn := range w.pnodes {
@@ -459,21 +445,6 @@ func (p *parRunner) flushEvents(pn *parNode, cyc uint64, idx int32) {
 		p.m.obs.Event(e.ev)
 		pn.evHead++
 	}
-}
-
-// phaseStall maps a resolved interconnect phase to the stall kind
-// ClassifyLoad would have charged for it (node.go keeps the same
-// mapping; the switch covers every MsgPhase).
-func phaseStall(ph bus.MsgPhase) obs.StallKind {
-	switch ph {
-	case bus.PhaseTransfer:
-		return obs.StallESPSerial
-	case bus.PhaseBlocked:
-		return obs.StallNetContention
-	case bus.PhaseQueued, bus.PhaseAbsent:
-		return obs.StallMemRemote
-	}
-	return obs.StallMemRemote // unreachable: the switch is exhaustive
 }
 
 // replayCycle re-runs cycle c against the real interconnect: Tick (live
@@ -736,7 +707,7 @@ func (m *Machine) runParallel() (Result, error) {
 		if m.sampler != nil && m.now%m.cfg.SampleInterval == 0 {
 			m.emitSamples()
 		}
-		if !m.cfg.NoCycleSkip {
+		if !m.cfg.Core.NoCycleSkip {
 			p.leaseNet(false)
 			m.skipIdle(lastProgress, watchdog)
 			p.leaseNet(true)

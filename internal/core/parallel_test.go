@@ -45,7 +45,7 @@ func TestParallelBitIdentical(t *testing.T) {
 							trace := obs.NewTrace()
 							m := buildMachine(t, k.src, nodes, func(c *Config) {
 								c.Topology.Kind = topo
-								c.NoCycleSkip = noSkip
+								c.Core.NoCycleSkip = noSkip
 								c.ParallelNodes = parallel
 								c.Observer = trace
 								c.SampleInterval = 500

@@ -31,7 +31,7 @@ func TestCycleSkipBitIdentical(t *testing.T) {
 						trace := obs.NewTrace()
 						m := buildMachine(t, k.src, nodes, func(c *Config) {
 							c.Topology.Kind = topo
-							c.NoCycleSkip = noSkip
+							c.Core.NoCycleSkip = noSkip
 							c.Observer = trace
 							c.SampleInterval = 500
 						})
@@ -64,7 +64,7 @@ func TestCycleSkipPreservesDeadlockCycle(t *testing.T) {
 	// the machine the honest way — a watchdog far shorter than the run.
 	errFor := func(noSkip bool) error {
 		m := buildMachine(t, pointerChase, 2, func(c *Config) {
-			c.NoCycleSkip = noSkip
+			c.Core.NoCycleSkip = noSkip
 			c.WatchdogCycles = 1 // fires on the first idle stretch
 		})
 		_, err := m.Run()

@@ -6,10 +6,10 @@
 //
 //   - Injection: a seeded Plan decides, as a pure function of stable
 //     message identity (never of wall-clock or iteration order), which
-//     broadcasts are dropped, delayed, or bit-flipped at which receivers,
-//     and when a node dies permanently. Two runs with the same seed make
-//     identical decisions regardless of worker count, so fault campaigns
-//     are bit-reproducible serial or parallel.
+//     broadcasts are dropped, delayed, or bit-flipped at which receivers;
+//     an explicit schedule says when nodes die permanently. Two runs with
+//     the same seed make identical decisions regardless of worker count,
+//     so fault campaigns are bit-reproducible serial or parallel.
 //   - Detection: Config carries the retry/backoff parameters of the BSHR
 //     timeout → re-request path and the commit-fingerprint exchange
 //     interval; Stats accumulates what detection observed.
@@ -127,26 +127,12 @@ type Config struct {
 	// exchange is enabled, as cross-node divergence.
 	FlipRate float64
 
-	// DeadNode, when DeathCycle is non-zero, is the node that fails
-	// permanently at DeathCycle: its core freezes, its unsent messages
-	// are purged from the interconnect, and it neither sends nor
-	// receives anything afterwards.
-	DeadNode int
-	// DeathCycle is the cycle of the permanent failure (0 = no death).
-	DeathCycle uint64
-	// Deaths is an ordered multi-death schedule; entries may appear in
-	// any order and are executed sorted by (Cycle, Node). It composes
-	// with the legacy DeadNode/DeathCycle pair (which acts as one more
-	// schedule entry) and with DeathRate-derived random deaths.
+	// Deaths is the permanent-failure schedule: each entry's node fails
+	// at its cycle — its core freezes, its unsent messages are purged
+	// from the interconnect, and it neither sends nor receives anything
+	// afterwards. Entries may appear in any order and are executed
+	// sorted by (Cycle, Node).
 	Deaths []Death
-	// DeathRate is the per-node probability of a seeded random death;
-	// for each node not already in the explicit schedule, the plan mixes
-	// the seed with the node's identity to decide whether it dies and,
-	// if so, at a deterministic cycle in [1, DeathWindowCycles].
-	DeathRate float64
-	// DeathWindowCycles bounds where DeathRate-derived deaths land
-	// (default 200 000).
-	DeathWindowCycles uint64
 	// MinQuorum is the minimum number of live nodes the machine may
 	// degrade down to (effective minimum 1). A death that drops the live
 	// count below MinQuorum halts the run with a ClassQuorumLoss Report
@@ -190,8 +176,7 @@ type Config struct {
 // the machine builds no fault state and touches no fault hook.
 func (c Config) Enabled() bool {
 	return c.DropRate > 0 || c.DelayRate > 0 || c.FlipRate > 0 ||
-		c.DeathCycle != 0 || len(c.Deaths) > 0 || c.DeathRate > 0 ||
-		c.FingerprintInterval != 0
+		len(c.Deaths) > 0 || c.FingerprintInterval != 0
 }
 
 // IsZero reports whether the configuration is the zero value. Deaths
@@ -199,9 +184,7 @@ func (c Config) Enabled() bool {
 // Config{} (the engine's job-inheritance path) use this instead.
 func (c Config) IsZero() bool {
 	return c.Seed == 0 && c.DropRate == 0 && c.DelayRate == 0 &&
-		c.DelayMaxCycles == 0 && c.FlipRate == 0 &&
-		c.DeadNode == 0 && c.DeathCycle == 0 && c.Deaths == nil &&
-		c.DeathRate == 0 && c.DeathWindowCycles == 0 &&
+		c.DelayMaxCycles == 0 && c.FlipRate == 0 && c.Deaths == nil &&
 		c.MinQuorum == 0 && c.WarmFillMaxPages == 0 && !c.Recover &&
 		c.RetryTimeoutCycles == 0 && c.RetryBackoffCapCycles == 0 &&
 		c.MaxRetries == 0 && c.FingerprintInterval == 0
@@ -215,13 +198,10 @@ func (c Config) Validate() error {
 	for _, r := range []struct {
 		name string
 		v    float64
-	}{{"drop", c.DropRate}, {"delay", c.DelayRate}, {"flip", c.FlipRate}, {"death", c.DeathRate}} {
+	}{{"drop", c.DropRate}, {"delay", c.DelayRate}, {"flip", c.FlipRate}} {
 		if r.v < 0 || r.v > 1 {
 			errs = append(errs, fmt.Errorf("fault: %s rate %v outside [0,1]", r.name, r.v))
 		}
-	}
-	if c.DeathCycle != 0 && c.DeadNode < 0 {
-		errs = append(errs, fmt.Errorf("fault: death cycle set with negative dead node %d", c.DeadNode))
 	}
 	if c.MaxRetries < 0 {
 		errs = append(errs, fmt.Errorf("fault: negative retry budget %d", c.MaxRetries))
@@ -233,9 +213,6 @@ func (c Config) Validate() error {
 		errs = append(errs, fmt.Errorf("fault: negative warm-fill page budget %d", c.WarmFillMaxPages))
 	}
 	seen := map[int]uint64{}
-	if c.DeathCycle != 0 && c.DeadNode >= 0 {
-		seen[c.DeadNode] = c.DeathCycle
-	}
 	for i, d := range c.Deaths {
 		if d.Node < 0 {
 			errs = append(errs, fmt.Errorf("fault: deaths[%d]: negative node %d", i, d.Node))
@@ -259,9 +236,6 @@ func (c Config) Validate() error {
 // is the ClassQuorumLoss terminal case the machine reports at runtime.
 func (c Config) ValidateFor(nodes int) error {
 	errs := []error{c.Validate()}
-	if c.DeathCycle != 0 && c.DeadNode >= nodes {
-		errs = append(errs, fmt.Errorf("fault: dead node %d outside machine of %d nodes", c.DeadNode, nodes))
-	}
 	for i, d := range c.Deaths {
 		if d.Node >= nodes {
 			errs = append(errs, fmt.Errorf("fault: deaths[%d]: node %d outside machine of %d nodes", i, d.Node, nodes))
@@ -287,9 +261,6 @@ func (c Config) WithDefaults() Config {
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 8
 	}
-	if c.DeathWindowCycles == 0 {
-		c.DeathWindowCycles = 200_000
-	}
 	if c.WarmFillMaxPages == 0 {
 		c.WarmFillMaxPages = 64
 	}
@@ -305,7 +276,6 @@ type Plan struct {
 	dropThresh  uint64
 	delayThresh uint64
 	flipThresh  uint64
-	deathThresh uint64
 }
 
 // NewPlan builds a plan for cfg (defaults already applied by the
@@ -320,36 +290,14 @@ func NewPlan(cfg Config) *Plan {
 		dropThresh:  rateThreshold(cfg.DropRate),
 		delayThresh: rateThreshold(cfg.DelayRate),
 		flipThresh:  rateThreshold(cfg.FlipRate),
-		deathThresh: rateThreshold(cfg.DeathRate),
 	}
 }
 
-// Schedule returns the normalized, ordered death schedule for a machine
-// of the given node count: the legacy DeadNode/DeathCycle pair, every
-// Deaths entry, and DeathRate-derived random deaths (a pure function of
-// seed and node identity, so the schedule is identical serial or
-// parallel), sorted by (Cycle, Node). Nodes explicitly scheduled are
-// excluded from the random draw.
-func (p *Plan) Schedule(nodes int) []Death {
-	var sched []Death
-	scheduled := make(map[int]bool)
-	if p.cfg.DeathCycle != 0 {
-		sched = append(sched, Death{Node: p.cfg.DeadNode, Cycle: p.cfg.DeathCycle})
-		scheduled[p.cfg.DeadNode] = true
-	}
-	for _, d := range p.cfg.Deaths {
-		sched = append(sched, d)
-		scheduled[d.Node] = true
-	}
-	if p.deathThresh != 0 {
-		for n := 0; n < nodes; n++ {
-			if scheduled[n] || p.key(ClassDeath, n, -3, 0, 0) >= p.deathThresh {
-				continue
-			}
-			h := mix64(p.key(ClassDeath, n, -4, 0, 0))
-			sched = append(sched, Death{Node: n, Cycle: 1 + h%p.cfg.DeathWindowCycles})
-		}
-	}
+// Schedule returns the death schedule in execution order: a copy of
+// Deaths sorted by (Cycle, Node). Validate rejects a node scheduled
+// twice, so the order is total.
+func (p *Plan) Schedule() []Death {
+	sched := append([]Death(nil), p.cfg.Deaths...)
 	sort.Slice(sched, func(i, j int) bool {
 		if sched[i].Cycle != sched[j].Cycle {
 			return sched[i].Cycle < sched[j].Cycle

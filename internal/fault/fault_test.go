@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -114,8 +115,6 @@ func TestValidate(t *testing.T) {
 		{"drop-rate-negative", Config{DropRate: -0.1}, "drop rate -0.1 outside [0,1]"},
 		{"delay-rate-high", Config{DelayRate: 2}, "delay rate 2 outside [0,1]"},
 		{"flip-rate-negative", Config{FlipRate: -1}, "flip rate -1 outside [0,1]"},
-		{"death-rate-high", Config{DeathRate: 1.1}, "death rate 1.1 outside [0,1]"},
-		{"negative-dead-node", Config{DeadNode: -1, DeathCycle: 5}, "negative dead node -1"},
 		{"negative-retries", Config{MaxRetries: -2}, "negative retry budget -2"},
 		{"negative-quorum", Config{MinQuorum: -3}, "negative minimum quorum -3"},
 		{"negative-warm-fill", Config{WarmFillMaxPages: -4}, "negative warm-fill page budget -4"},
@@ -125,8 +124,6 @@ func TestValidate(t *testing.T) {
 			"deaths[0]: node 1 scheduled to die at cycle 0"},
 		{"death-duplicate-node", Config{Deaths: []Death{{Node: 1, Cycle: 10}, {Node: 1, Cycle: 20}}},
 			"deaths[1]: node 1 already scheduled to die at cycle 10"},
-		{"death-duplicates-legacy", Config{DeadNode: 2, DeathCycle: 7, Deaths: []Death{{Node: 2, Cycle: 9}}},
-			"deaths[0]: node 2 already scheduled to die at cycle 7"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -178,8 +175,6 @@ func TestValidateFor(t *testing.T) {
 		want  string // substring of the error; "" = must pass
 	}{
 		{"ok", Config{Deaths: []Death{{Node: 3, Cycle: 10}}, MinQuorum: 2}, 4, ""},
-		{"legacy-node-out-of-range", Config{DeadNode: 4, DeathCycle: 5}, 4,
-			"dead node 4 outside machine of 4 nodes"},
 		{"death-node-out-of-range", Config{Deaths: []Death{{Node: 7, Cycle: 10}}}, 4,
 			"deaths[0]: node 7 outside machine of 4 nodes"},
 		{"quorum-unsatisfiable", Config{MinQuorum: 5}, 4,
@@ -213,6 +208,29 @@ func TestValidateFor(t *testing.T) {
 		if err == nil || !contains(err.Error(), want) {
 			t.Errorf("joined error %v lacks %q", err, want)
 		}
+	}
+}
+
+// TestSchedule: the plan executes deaths sorted by (Cycle, Node)
+// whatever order the config lists them in, and hands back a copy the
+// config's own slice never aliases.
+func TestSchedule(t *testing.T) {
+	deaths := []Death{{Node: 3, Cycle: 50}, {Node: 2, Cycle: 10}, {Node: 0, Cycle: 50}, {Node: 1, Cycle: 30}}
+	p := NewPlan(Config{Deaths: deaths}.WithDefaults())
+	got := p.Schedule()
+	want := []Death{{Node: 2, Cycle: 10}, {Node: 1, Cycle: 30}, {Node: 0, Cycle: 50}, {Node: 3, Cycle: 50}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("schedule %v, want %v", got, want)
+	}
+	if deaths[0] != (Death{Node: 3, Cycle: 50}) {
+		t.Fatalf("sorting reordered the config's slice: %v", deaths)
+	}
+	got[0].Cycle = 999
+	if p.Config().Deaths[1].Cycle != 10 {
+		t.Fatal("schedule aliases the config's slice")
+	}
+	if s := NewPlan(Config{Seed: 1, DropRate: 0.5}).Schedule(); len(s) != 0 {
+		t.Fatalf("death-free plan scheduled %v", s)
 	}
 }
 

@@ -120,10 +120,12 @@ type Config struct {
 	// ClassLoad entry is unused (the MemPort decides load latency) and
 	// ClassStore is the commit-readiness latency.
 	Latency [isa.NumClasses]uint64
-	// NoCycleSkip forces the standalone Run driver back to strict
-	// cycle-by-cycle polling, disabling next-event cycle skipping. Results
-	// are bit-identical either way (the differential suite proves it);
-	// the flag exists for that differential testing and for debugging.
+	// NoCycleSkip forces strict cycle-by-cycle polling, disabling
+	// next-event cycle skipping, in every loop that drives this core: the
+	// standalone Run driver and the DataScalar and traditional machines,
+	// which carry this config as their Config.Core. Results are
+	// bit-identical either way (the differential suites prove it); the
+	// flag exists for that differential testing and for debugging.
 	NoCycleSkip bool
 }
 

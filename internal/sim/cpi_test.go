@@ -47,7 +47,7 @@ func TestCPIStackExhaustive(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			opts := detOpts(0)
-			opts.NoCycleSkip = noSkip
+			opts.noCycleSkip = noSkip
 			prof, err := CPIProfile(context.Background(), opts, []string{"compress"})
 			if err != nil {
 				t.Fatal(err)
@@ -67,7 +67,7 @@ func TestCPIStackNodeDeath(t *testing.T) {
 	}
 	res, err := runJobs(context.Background(), detOpts(0), []Job{{
 		Workload: w, Scale: 1, Kind: KindDS, Nodes: 2, MaxInstr: 30_000,
-		Fault: fault.Config{DeadNode: 1, DeathCycle: 5_000, Recover: true,
+		Fault: fault.Config{Deaths: []fault.Death{{Node: 1, Cycle: 5_000}}, Recover: true,
 			RetryTimeoutCycles: 1_000, MaxRetries: 3},
 	}})
 	if err != nil {

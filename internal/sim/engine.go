@@ -54,9 +54,11 @@ func (k MachineKind) String() string {
 // Job describes one independent timing simulation: which workload, which
 // machine, at what size, under what configuration twist. Jobs carry no
 // run state and are safe to copy; everything a job references (the
-// assembled Program, an explicit PageTable, a RingConfig reached through
-// a mutator) is read-only to the machines, so any number of jobs may run
-// concurrently.
+// assembled Program, an explicit PageTable, link parameters reached
+// through a mutator) is read-only to the machines, so any number of jobs
+// may run concurrently. Settings that apply to a whole sweep (cycle
+// skipping, intra-run node parallelism) come from the Options the job
+// runs under.
 type Job struct {
 	// Workload is the registry benchmark to run, prepared (assembled and
 	// bench_main-located) through the memoized cache at Scale.
@@ -76,9 +78,10 @@ type Job struct {
 	MaxInstr uint64
 
 	// Topology selects the interconnect family for KindDS and
-	// KindTraditional machines (the zero value is the paper's global
-	// bus). It is stamped onto the config before the mutators run, so a
-	// DSMut can still adjust the selected family's parameters.
+	// KindTraditional machines; jobs that leave it at the zero value (the
+	// paper's global bus) take Options.Topology. It is stamped onto the
+	// config before the mutators run, so a DSMut can still adjust the
+	// selected family's parameters.
 	Topology bus.TopologyKind
 
 	// PageTable, when non-nil, replaces the default single-page
@@ -96,19 +99,11 @@ type Job struct {
 	// installs. Per-job observers keep tracing coherent under
 	// concurrency: each job's events go to its own sink.
 	Observer obs.Observer
-	// NoCycleSkip disables the next-event scheduler for this job's
-	// machine (stamped from Options.NoCycleSkip by runJobs).
-	NoCycleSkip bool
-	// ParallelNodes partitions a KindDS machine's nodes across worker
-	// goroutines inside the run (core.Config.ParallelNodes). Jobs that
-	// leave it zero inherit Options.ParallelNodes from runJobs; 0 or 1
-	// is the serial node loop. Results are bit-identical either way.
-	ParallelNodes int
 
 	// Fault is the deterministic fault plan injected into a KindDS
 	// machine (see internal/fault). The zero value builds no fault layer
 	// at all, so ordinary jobs are untouched. Jobs that leave it zero
-	// inherit Options.Fault from runJobs.
+	// take Options.Fault.
 	Fault fault.Config
 	// CaptureFailure embeds a structured failure (*fault.Report or
 	// *core.DeadlockError) in the JobResult instead of failing the whole
@@ -149,9 +144,17 @@ func (j Job) prepare() (prepared, error) {
 	return prepare(j.Workload, j.Scale)
 }
 
-// run executes the job to completion. It is the single copy of the
-// machine-construction plumbing every harness previously hand-rolled.
-func (j Job) run() (JobResult, error) {
+// run executes the job to completion under opts, which supply the
+// sweep-wide settings and the fault plan and topology of jobs that pin
+// neither. It is the single copy of the machine-construction plumbing
+// every harness previously hand-rolled.
+func (j Job) run(opts Options) (JobResult, error) {
+	if j.Fault.IsZero() {
+		j.Fault = opts.Fault
+	}
+	if j.Topology == bus.TopoBus {
+		j.Topology = opts.Topology
+	}
 	pr, err := j.prepare()
 	if err != nil {
 		return JobResult{}, err
@@ -159,14 +162,14 @@ func (j Job) run() (JobResult, error) {
 	out := JobResult{Kind: j.Kind}
 	switch j.Kind {
 	case KindDS:
-		out.DS, out.FaultStats, err = j.runDS(pr)
+		out.DS, out.FaultStats, err = j.runDS(pr, opts)
 		if err != nil && j.CaptureFailure && isStructuredFailure(err) {
 			out.Failure, err = err, nil
 		}
 	case KindTraditional:
-		out.Trad, err = j.runTrad(pr)
+		out.Trad, err = j.runTrad(pr, opts)
 	case KindPerfect:
-		out.Trad, err = j.runPerfect(pr)
+		out.Trad, err = j.runPerfect(pr, opts)
 	default:
 		err = fmt.Errorf("sim: unknown machine kind %d", j.Kind)
 	}
@@ -188,7 +191,7 @@ func isStructuredFailure(err error) bool {
 // it uses the paper's default partition (round-robin single-page
 // distribution, replicated text). The fault stats pointer is returned
 // separately from the Result so halted runs still expose their counters.
-func (j Job) runDS(pr prepared) (core.Result, *fault.Stats, error) {
+func (j Job) runDS(pr prepared, opts Options) (core.Result, *fault.Stats, error) {
 	pt := j.PageTable
 	if pt == nil {
 		var err error
@@ -201,8 +204,8 @@ func (j Job) runDS(pr prepared) (core.Result, *fault.Stats, error) {
 	cfg.Topology.Kind = j.Topology
 	cfg.MaxInstr = j.MaxInstr
 	cfg.FastForwardPC = pr.ff
-	cfg.NoCycleSkip = j.NoCycleSkip
-	cfg.ParallelNodes = j.ParallelNodes
+	cfg.Core.NoCycleSkip = opts.noCycleSkip
+	cfg.ParallelNodes = opts.ParallelNodes
 	cfg.Fault = j.Fault
 	if j.DSMut != nil {
 		j.DSMut(&cfg)
@@ -223,7 +226,7 @@ func (j Job) runDS(pr prepared) (core.Result, *fault.Stats, error) {
 }
 
 // runTrad runs the traditional baseline with 1/Nodes of memory on-chip.
-func (j Job) runTrad(pr prepared) (traditional.Result, error) {
+func (j Job) runTrad(pr prepared, opts Options) (traditional.Result, error) {
 	pt, err := defaultPartition(pr.p, j.Nodes)
 	if err != nil {
 		return traditional.Result{}, err
@@ -232,7 +235,7 @@ func (j Job) runTrad(pr prepared) (traditional.Result, error) {
 	cfg.Topology.Kind = j.Topology
 	cfg.MaxInstr = j.MaxInstr
 	cfg.FastForwardPC = pr.ff
-	cfg.NoCycleSkip = j.NoCycleSkip
+	cfg.Core.NoCycleSkip = opts.noCycleSkip
 	if j.TradMut != nil {
 		j.TradMut(&cfg)
 	}
@@ -249,9 +252,9 @@ func (j Job) runTrad(pr prepared) (traditional.Result, error) {
 }
 
 // runPerfect runs the perfect-data-cache baseline.
-func (j Job) runPerfect(pr prepared) (traditional.Result, error) {
+func (j Job) runPerfect(pr prepared, opts Options) (traditional.Result, error) {
 	cfg := traditional.DefaultConfig(2)
-	cfg.Core.NoCycleSkip = j.NoCycleSkip
+	cfg.Core.NoCycleSkip = opts.noCycleSkip
 	if j.TradMut != nil {
 		j.TradMut(&cfg)
 	}
@@ -276,18 +279,7 @@ func defaultPartition(p *prog.Program, nodes int) (*mem.PageTable, error) {
 // bit-identical to a serial run.
 func runJobs(ctx context.Context, opts Options, jobs []Job) ([]JobResult, error) {
 	return runIndexed(ctx, opts.Parallel, len(jobs), func(i int) (JobResult, error) {
-		j := jobs[i]
-		j.NoCycleSkip = opts.NoCycleSkip
-		if j.ParallelNodes == 0 {
-			j.ParallelNodes = opts.ParallelNodes
-		}
-		if j.Fault.IsZero() {
-			j.Fault = opts.Fault
-		}
-		if j.Topology == bus.TopoBus {
-			j.Topology = opts.Topology
-		}
-		return j.run()
+		return jobs[i].run(opts)
 	})
 }
 

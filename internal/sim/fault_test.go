@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/wisc-arch/datascalar/internal/bus"
@@ -31,10 +32,10 @@ func campaignConfig() FaultCampaignConfig {
 			{Name: "flip-blind", Class: fault.ClassFlip, Rate: 0.01,
 				Base: fault.Config{FlipRate: 0.01}},
 			{Name: "death-recover", Class: fault.ClassDeath,
-				Base: fault.Config{DeadNode: 1, DeathCycle: 5_000, Recover: true,
+				Base: fault.Config{Deaths: []fault.Death{{Node: 1, Cycle: 5_000}}, Recover: true,
 					RetryTimeoutCycles: 1_000, MaxRetries: 3}},
 			{Name: "death-halt", Class: fault.ClassDeath,
-				Base: fault.Config{DeadNode: 1, DeathCycle: 5_000,
+				Base: fault.Config{Deaths: []fault.Death{{Node: 1, Cycle: 5_000}},
 					RetryTimeoutCycles: 1_000, MaxRetries: 3}},
 		},
 	}
@@ -122,6 +123,10 @@ func TestFaultCampaignOutcomes(t *testing.T) {
 	if r.Table().NumRows() != len(r.Summaries) {
 		t.Error("summary table row count mismatch")
 	}
+	// Single-death scenarios are not a cascade family: no survival curve.
+	if len(r.Survival) != 0 {
+		t.Errorf("grid without cascade scenarios produced a survival curve: %+v", r.Survival)
+	}
 }
 
 // TestFaultCampaignDeterministic: the same campaign config must yield a
@@ -151,6 +156,43 @@ func TestFaultCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// TestFaultCampaignTopologyFromOptions: a topology chosen through
+// Options, with the campaign's own left zero, is the one every run uses
+// and the one the artifact and the survival table name — the same
+// campaign as pinning it in FaultCampaignConfig.
+func TestFaultCampaignTopologyFromOptions(t *testing.T) {
+	cc := FaultCampaignConfig{Workloads: []string{"compress"}, Seeds: 1, MaxInstr: 10_000, Deaths: 1}
+	viaOpts := detOpts(1)
+	viaOpts.Topology = bus.TopoRing
+	got, err := FaultCampaign(context.Background(), viaOpts, cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := cc
+	pinned.Topology = bus.TopoRing
+	want, err := FaultCampaign(context.Background(), detOpts(1), pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Topology != "ring" {
+		t.Errorf("artifact names topology %q, want ring", got.Topology)
+	}
+	if title := got.SurvivalTable().String(); !strings.Contains(title, "on ring") {
+		t.Errorf("survival table does not name the ring:\n%s", title)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ring through Options differs from ring through the campaign config:\nopts:   %+v\nconfig: %+v", got, want)
+	}
+	onBus, err := FaultCampaign(context.Background(), detOpts(1), cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onBus.Topology != "bus" || onBus.Runs[0].Cycles == got.Runs[0].Cycles {
+		t.Fatalf("bus campaign (%s, %d cycles) indistinguishable from the ring one (%d cycles)",
+			onBus.Topology, onBus.Runs[0].Cycles, got.Runs[0].Cycles)
+	}
+}
+
 // TestCascadeCampaign64Mesh is the scale acceptance test for graceful
 // degradation: a three-deep sequential-death cascade on a 64-node mesh
 // must complete degraded at every depth (a monotone survival curve at
@@ -167,9 +209,9 @@ func TestCascadeCampaign64Mesh(t *testing.T) {
 		Deaths:    3,
 	}
 	run := func(parallelNodes int) (FaultCampaignResult, []byte) {
-		c := cc
-		c.ParallelNodes = parallelNodes
-		r, err := FaultCampaign(context.Background(), detOpts(1), c)
+		opts := detOpts(1)
+		opts.ParallelNodes = parallelNodes
+		r, err := FaultCampaign(context.Background(), opts, cc)
 		if err != nil {
 			t.Fatalf("parallel-nodes=%d: %v", parallelNodes, err)
 		}

@@ -28,6 +28,9 @@ type FaultScenario struct {
 	// arrival for drops/delays/flips; unused for death scenarios).
 	Rate float64      `json:"rate"`
 	Base fault.Config `json:"base"`
+	// cascade marks the CascadeScenarios family, whose runs the campaign
+	// folds into a survival curve.
+	cascade bool
 }
 
 // DefaultFaultScenarios is the standard campaign grid: transient drops
@@ -37,7 +40,7 @@ type FaultScenario struct {
 func DefaultFaultScenarios() []FaultScenario {
 	retry := fault.Config{RetryTimeoutCycles: 2_000, MaxRetries: 6}
 	death := fault.Config{
-		DeadNode: 1, DeathCycle: 30_000,
+		Deaths:             []fault.Death{{Node: 1, Cycle: 30_000}},
 		RetryTimeoutCycles: 2_000, MaxRetries: 4,
 	}
 	return []FaultScenario{
@@ -94,8 +97,9 @@ func CascadeScenarios(depth int) []FaultScenario {
 			}
 		}
 		out = append(out, FaultScenario{
-			Name:  fmt.Sprintf("cascade-%d", k),
-			Class: fault.ClassDeath,
+			Name:    fmt.Sprintf("cascade-%d", k),
+			Class:   fault.ClassDeath,
+			cascade: true,
 			Base: fault.Config{
 				Deaths:  deaths,
 				Recover: true,
@@ -128,12 +132,8 @@ type FaultCampaignConfig struct {
 	// Options.SweepInstr).
 	MaxInstr uint64
 	// Topology selects the interconnect for every run, baseline
-	// included (default bus).
+	// included (default Options.Topology, which defaults to bus).
 	Topology bus.TopologyKind
-	// ParallelNodes partitions each run's nodes across worker
-	// goroutines (core.Config.ParallelNodes); results are bit-identical
-	// at any setting.
-	ParallelNodes int
 	// Deaths, when positive, replaces the default scenario grid with
 	// the cascade family CascadeScenarios(Deaths) — sequential owner
 	// deaths of increasing depth, reported as a survival curve.
@@ -163,6 +163,9 @@ func (c FaultCampaignConfig) withDefaults(opts Options) FaultCampaignConfig {
 	}
 	if c.MaxInstr == 0 {
 		c.MaxInstr = opts.SweepInstr
+	}
+	if c.Topology == bus.TopoBus {
+		c.Topology = opts.Topology
 	}
 	return c
 }
@@ -267,8 +270,8 @@ type FaultCampaignResult struct {
 	Topology  string                 `json:"topology"`
 	Runs      []FaultRun             `json:"runs"`
 	Summaries []FaultScenarioSummary `json:"summaries"`
-	// Survival is the survival curve over cascade scenarios (those with
-	// a multi-death schedule), one point per scheduled depth; empty for
+	// Survival is the survival curve over cascade scenarios (those
+	// CascadeScenarios built), one point per scheduled depth; empty for
 	// campaigns without cascade scenarios.
 	Survival []SurvivalPoint `json:"survival,omitempty"`
 }
@@ -340,8 +343,7 @@ func FaultCampaign(ctx context.Context, opts Options, cc FaultCampaignConfig) (F
 	base := make([]Job, len(ws))
 	for i, w := range ws {
 		base[i] = Job{Workload: w, Scale: opts.Scale, Kind: KindDS,
-			Nodes: cc.Nodes, MaxInstr: cc.MaxInstr,
-			Topology: cc.Topology, ParallelNodes: cc.ParallelNodes}
+			Nodes: cc.Nodes, MaxInstr: cc.MaxInstr, Topology: cc.Topology}
 	}
 	baseRes, err := runJobs(ctx, opts, base)
 	if err != nil {
@@ -363,8 +365,7 @@ func FaultCampaign(ctx context.Context, opts Options, cc FaultCampaignConfig) (F
 				cells = append(cells, cell{wi, si, fc.Seed})
 				jobs = append(jobs, Job{Workload: w, Scale: opts.Scale,
 					Kind: KindDS, Nodes: cc.Nodes, MaxInstr: cc.MaxInstr,
-					Topology: cc.Topology, ParallelNodes: cc.ParallelNodes,
-					Fault: fc, CaptureFailure: true})
+					Topology: cc.Topology, Fault: fc, CaptureFailure: true})
 			}
 		}
 	}
@@ -392,20 +393,10 @@ func FaultCampaign(ctx context.Context, opts Options, cc FaultCampaignConfig) (F
 			}
 		}
 		if st := res[i].FaultStats; st != nil {
-			run.Injected = st.InjectedDrops + st.InjectedFlips
+			run.Injected = st.InjectedDrops + st.InjectedFlips + uint64(len(st.Deaths))
 			run.Detected = st.DetectedDrops + st.DetectedFlips
-			if len(st.Deaths) > 0 {
-				run.Injected += uint64(len(st.Deaths))
-				for _, d := range st.Deaths {
-					if d.Detected {
-						run.Detected++
-					}
-				}
-			} else {
-				if st.NodeDied {
-					run.Injected++
-				}
-				if st.DeathDetected {
+			for _, d := range st.Deaths {
+				if d.Detected {
 					run.Detected++
 				}
 			}
@@ -462,15 +453,13 @@ func FaultCampaign(ctx context.Context, opts Options, cc FaultCampaignConfig) (F
 		out.Summaries = append(out.Summaries, s)
 	}
 
-	// Survival curve: one point per cascade scenario (scheduled
-	// multi-death plans), in scenario order, which CascadeScenarios
-	// emits by increasing depth.
+	// Survival curve: one point per cascade scenario, in scenario order,
+	// which CascadeScenarios emits by increasing depth.
 	for si, sc := range cc.Scenarios {
-		depth := len(sc.Base.Deaths)
-		if depth == 0 {
+		if !sc.cascade {
 			continue
 		}
-		p := SurvivalPoint{Deaths: depth}
+		p := SurvivalPoint{Deaths: len(sc.Base.Deaths)}
 		var seen int
 		var ipcSum float64
 		var ipcRuns int

@@ -140,7 +140,7 @@ func Figure3() (Figure3Result, error) {
 	ds, err := Job{
 		Workload: w, Program: p, Kind: KindDS, Nodes: 4,
 		DSMut: func(cfg *core.Config) { cfg.L1.SizeBytes = 512 },
-	}.run()
+	}.run(Options{})
 	if err != nil {
 		return out, err
 	}
@@ -149,7 +149,7 @@ func Figure3() (Figure3Result, error) {
 	tr, err := Job{
 		Workload: w, Program: p, Kind: KindTraditional, Nodes: 4,
 		TradMut: func(cfg *traditional.Config) { cfg.L1.SizeBytes = 512 },
-	}.run()
+	}.run(Options{})
 	if err != nil {
 		return out, err
 	}

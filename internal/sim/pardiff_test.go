@@ -13,8 +13,7 @@ import (
 )
 
 // pardiffJob builds the standard 4-node DataScalar job the intra-run
-// parallelism differential runs: ParallelNodes is left zero so the run
-// exercises the Options.ParallelNodes inheritance path in runJobs.
+// parallelism differential runs under Options.ParallelNodes.
 func pardiffJob(t *testing.T, kernel string, topo bus.TopologyKind, f fault.Config) Job {
 	t.Helper()
 	w, ok := workload.ByName(kernel)
@@ -59,7 +58,7 @@ func TestParallelNodesDifferential(t *testing.T) {
 						t.Parallel()
 						run := func(parallelNodes int) ([]JobResult, []byte) {
 							opts := detOpts(1)
-							opts.NoCycleSkip = noSkip
+							opts.noCycleSkip = noSkip
 							opts.ParallelNodes = parallelNodes
 							res, err := runJobs(context.Background(), opts.withDefaults(),
 								[]Job{pardiffJob(t, kernel, topo, fp.cfg)})
@@ -99,7 +98,7 @@ func TestParallelNodesDifferential(t *testing.T) {
 // conservative gate only falls back to the serial loop when the plan's
 // retry deadlines are shorter than a window; this plan's are not.)
 func TestParallelNodesActiveFaultDifferential(t *testing.T) {
-	plan := fault.Config{DeadNode: 1, DeathCycle: 5_000, Recover: true,
+	plan := fault.Config{Deaths: []fault.Death{{Node: 1, Cycle: 5_000}}, Recover: true,
 		RetryTimeoutCycles: 1_000, MaxRetries: 3}
 	run := func(parallelNodes int) []JobResult {
 		opts := detOpts(1)

@@ -40,21 +40,20 @@ type Options struct {
 	// deterministic and the engine assembles results in job order.
 	Parallel int
 	// ParallelNodes partitions the nodes of every DataScalar machine
-	// whose job does not pin its own count across that many worker
-	// goroutines inside a single run (conservative intra-run
-	// parallelism; see docs/PERFORMANCE.md). 0 or 1 keeps the serial
-	// node loop. Results are bit-identical at every setting — the
-	// differential suite in pardiff_test.go enforces it — so the knob
-	// trades wall-clock for cores, never accuracy. Independent of
-	// Parallel: that bounds concurrent jobs, this bounds goroutines
-	// inside each job, and the two multiply.
+	// across that many worker goroutines inside a single run
+	// (conservative intra-run parallelism; see docs/PERFORMANCE.md). 0
+	// or 1 keeps the serial node loop. Results are bit-identical at every
+	// setting — the differential suite in pardiff_test.go enforces it —
+	// so the knob trades wall-clock for cores, never accuracy.
+	// Independent of Parallel: that bounds concurrent jobs, this bounds
+	// goroutines inside each job, and the two multiply.
 	ParallelNodes int
-	// NoCycleSkip runs every timing simulation with the next-event
-	// scheduler disabled (pure cycle-by-cycle polling). Results are
-	// bit-identical either way — the differential suite in engine_test.go
-	// enforces it — so the flag exists only to keep that equivalence
+	// noCycleSkip runs every timing simulation with the next-event
+	// scheduler disabled (pure cycle-by-cycle polling, through
+	// ooo.Config.NoCycleSkip). Results are bit-identical either way; the
+	// package's differential tests set it to keep that equivalence
 	// testable.
-	NoCycleSkip bool
+	noCycleSkip bool
 	// Fault is a deterministic fault plan applied to every DataScalar
 	// job whose own Fault field is zero (see internal/fault). The zero
 	// value injects nothing and builds no fault layer, so every harness

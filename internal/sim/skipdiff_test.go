@@ -8,7 +8,7 @@ import (
 )
 
 // TestCycleSkipDifferential is the end-to-end guarantee behind
-// Options.NoCycleSkip: every harness must produce bit-identical
+// Options.noCycleSkip: every harness must produce bit-identical
 // structured results — and byte-identical JSON artifacts — with the
 // next-event scheduler on and off, serially and on a 4-way pool. The
 // four variants cross cycle skipping with parallelism so a scheduler bug
@@ -35,7 +35,7 @@ func TestCycleSkipDifferential(t *testing.T) {
 			var refJSON []byte
 			for _, v := range variants {
 				opts := detOpts(v.par)
-				opts.NoCycleSkip = v.noSkip
+				opts.noCycleSkip = v.noSkip
 				res, err := h.run(context.Background(), opts)
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)

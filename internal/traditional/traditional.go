@@ -50,10 +50,6 @@ type Config struct {
 
 	MaxInstr       uint64
 	WatchdogCycles uint64
-	// NoCycleSkip forces Run back to pure cycle-by-cycle polling,
-	// disabling the next-event scheduler; results are bit-identical
-	// either way (see core.Config.NoCycleSkip).
-	NoCycleSkip bool
 	// FastForwardPC functionally executes the emulator up to this PC
 	// before timing begins (0 = none); see core.Config.FastForwardPC.
 	FastForwardPC uint64
@@ -466,7 +462,7 @@ func (m *Machine) Run() (Result, error) {
 				m.now, lastCommitted, m.net.Pending())
 		}
 		m.now++
-		if !m.cfg.NoCycleSkip {
+		if !m.cfg.Core.NoCycleSkip {
 			m.skipIdle(lastProgress, watchdog)
 		}
 	}

@@ -258,7 +258,7 @@ loop:   ld   r2, 0(r1)
 	}
 }
 
-func TestRingConfigOnTraditional(t *testing.T) {
+func TestRingOnTraditional(t *testing.T) {
 	p, err := asm.Assemble("t", streamSum)
 	if err != nil {
 		t.Fatal(err)

@@ -280,172 +280,6 @@ func BenchmarkScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineRun measures raw timing-simulator throughput — the
-// metric the next-event scheduler and the hot-path work exist to improve.
-// It runs the compress kernel to the standard timing bound on the
-// two-node DataScalar machine and the traditional baseline, with and
-// without an observer attached, reporting simulated cycles and guest
-// instructions retired per wall-clock second.
-func BenchmarkMachineRun(b *testing.B) {
-	w, ok := WorkloadByName("compress")
-	if !ok {
-		b.Fatal("compress workload not registered")
-	}
-	p, err := w.Program(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ff, ok := p.Labels["bench_main"]
-	if !ok {
-		b.Fatal("compress has no bench_main label")
-	}
-	pt, err := Partition{NumNodes: 2, BlockPages: 1, ReplicateText: true}.Build(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const maxInstr = 300_000 // DefaultExperimentOptions().TimingInstr
-	report := func(b *testing.B, cycles, instrs uint64) {
-		sec := b.Elapsed().Seconds()
-		if sec > 0 {
-			b.ReportMetric(float64(cycles)/sec, "sim-cycles/sec")
-			b.ReportMetric(float64(instrs)/sec/1e6, "guest-MIPS")
-		}
-	}
-	runDS := func(observed bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			var cycles, instrs uint64
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultConfig(2)
-				cfg.MaxInstr = maxInstr
-				cfg.FastForwardPC = ff
-				if observed {
-					cfg.Observer = NewMetrics(10_000)
-					cfg.SampleInterval = 10_000
-				}
-				m, err := NewMachine(cfg, p, pt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := m.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += r.Cycles
-				instrs += r.Instructions
-			}
-			report(b, cycles, instrs)
-		}
-	}
-	runTrad := func(observed bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			var cycles, instrs uint64
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultTraditionalConfig(2)
-				cfg.MaxInstr = maxInstr
-				cfg.FastForwardPC = ff
-				if observed {
-					cfg.Observer = NewMetrics(10_000)
-				}
-				m, err := NewTraditional(cfg, p, pt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := m.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += r.Cycles
-				instrs += r.Instructions
-			}
-			report(b, cycles, instrs)
-		}
-	}
-	b.Run("DS2", runDS(false))
-	b.Run("DS2/observed", runDS(true))
-	b.Run("trad2", runTrad(false))
-	b.Run("trad2/observed", runTrad(true))
-	// The 64-node mesh point exercises what the topology layer exists
-	// for: the sparse machine loop (only nodes with pending work pay
-	// per-cycle cost) and multi-hop broadcast trees, at the Scaling
-	// harness's per-point instruction budget for this size. The
-	// parallel4 variant partitions the same run across four worker
-	// goroutines (core.Config.ParallelNodes); results are bit-identical,
-	// so the pair measures pure intra-run speedup (flat on one core —
-	// the conservative windows add coordination, not work).
-	runDS64 := func(parallelNodes int) func(b *testing.B) {
-		return func(b *testing.B) {
-			pt64, err := Partition{NumNodes: 64, BlockPages: 1, ReplicateText: true}.Build(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var cycles, instrs uint64
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultConfig(64)
-				cfg.Topology.Kind = TopoMesh
-				cfg.MaxInstr = maxInstr * 8 / 64
-				cfg.FastForwardPC = ff
-				cfg.ParallelNodes = parallelNodes
-				m, err := NewMachine(cfg, p, pt64)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := m.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += r.Cycles
-				instrs += r.Instructions * 64
-			}
-			report(b, cycles, instrs)
-		}
-	}
-	b.Run("DS64/mesh", runDS64(1))
-	b.Run("DS64/mesh/parallel4", runDS64(4))
-}
-
-// BenchmarkEmuStep measures the functional emulator's per-instruction
-// hot path (fetch from predecoded text, execute, single-page memory fast
-// path) in guest MIPS. Every timing run pays this path once per
-// instruction per node, plus again during fast-forward warmup.
-func BenchmarkEmuStep(b *testing.B) {
-	p, err := Assemble("bench", `
-        .data
-buf:    .space 16384
-        .text
-        li   r5, 100000000    # effectively infinite for the benchmark
-outer:  la   r1, buf
-        li   r2, 2048
-loop:   sd   r2, 0(r1)
-        ld   r3, 0(r1)
-        add  r4, r4, r3
-        addi r1, r1, 8
-        addi r2, r2, -1
-        bne  r2, zero, loop
-        addi r5, r5, -1
-        bne  r5, zero, outer
-        halt
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := NewEmulator(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.Run(20_000); err != nil { // touch every page once
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(b.N)/sec/1e6, "guest-MIPS")
-	}
-}
-
 // BenchmarkAblationReplication sweeps the static replication fraction:
 // the paper's Section 3 lever, trading per-node capacity for eliminated
 // broadcasts.

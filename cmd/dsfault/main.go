@@ -50,7 +50,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	instr := fs.Uint64("instr", 0, "measured instructions per run (default: sweep size)")
 	scale := fs.Int("scale", 1, "workload scale factor")
 	parallel := fs.Int("parallel", 0, "simulation worker count (0 = GOMAXPROCS, 1 = serial)")
-	parallelNodes := fs.Int("parallel-nodes", 0, "worker goroutines partitioning the nodes inside each run (results are bit-identical at any setting; 0 or 1 = serial node loop)")
+	parallelNodes := fs.Int("parallel-nodes", 0, "worker goroutines partitioning the nodes of each fault-free baseline run; fault runs take the serial node loop (results are bit-identical at any setting; 0 or 1 = serial node loop)")
 	runs := fs.Bool("runs", false, "also print every individual run")
 	jsonOut := fs.String("json", "", "write the campaign result as JSON to this file (\"-\" = stdout)")
 	if err := fs.Parse(args); err != nil {

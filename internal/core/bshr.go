@@ -257,9 +257,6 @@ func (b *BSHR) Absorb(line uint64) {
 	b.owed[line]++
 }
 
-// HasWaiter reports whether any load is waiting on line.
-func (b *BSHR) HasWaiter(line uint64) bool { return b.find(line, false) >= 0 }
-
 // WaitRetries returns the number of re-requests already sent for line's
 // earliest waiting entry (0 when nothing waits or the retry path is
 // disarmed). Stall attribution uses it to split BSHR waits between the

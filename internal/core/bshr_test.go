@@ -143,17 +143,6 @@ func TestBSHRWaitingNeverDropped(t *testing.T) {
 	}
 }
 
-func TestBSHRHasWaiter(t *testing.T) {
-	b := NewBSHR(4)
-	if b.HasWaiter(0x100) {
-		t.Fatal("phantom waiter")
-	}
-	b.Request(0x100, 1, 0)
-	if !b.HasWaiter(0x100) {
-		t.Fatal("waiter not visible")
-	}
-}
-
 // Property: per line, tokens released over any operation sequence equal
 // tokens requested minus tokens still waiting (no duplication, no loss).
 func TestBSHRTokenConservationQuick(t *testing.T) {
@@ -184,11 +173,8 @@ func TestBSHRTokenConservationQuick(t *testing.T) {
 		}
 		// Drain: deliver enough arrivals to release all waiters.
 		for i := 0; i < len(ops)+8; i++ {
-			for l := uint64(0); l < 8; l++ {
-				line := l * 64
-				if b.HasWaiter(line) {
-					released[line] += len(b.Arrive(line, 2))
-				}
+			for _, line := range b.WaitingLines() {
+				released[line] += len(b.Arrive(line, 2))
 			}
 		}
 		if b.Waiting() != 0 {

@@ -22,12 +22,6 @@ type faultState struct {
 	// report, once set, halts the run with a structured error at the end
 	// of the current cycle's fault pass.
 	report *fault.Report
-	// deferGlobal is set for the duration of a parallel run: workers
-	// apply only node-local fault effects (suppression, fingerprint
-	// taint, retry service) and the barrier's replay walk re-derives the
-	// global side — stats, drop/flip ground truth, the fingerprint
-	// ledger — from the same pure injection decisions, in serial order.
-	deferGlobal bool
 
 	// Degradation engine: the ordered death schedule and per-node
 	// liveness. schedule is fixed at machine construction (a pure
@@ -175,87 +169,38 @@ func (m *Machine) killNode(id int) {
 	}
 }
 
-// handleFaultArrival applies the fault layer to one delivery under the
-// serial loop: the global bookkeeping, then the node-local effect. It
-// returns true when the arrival was consumed (resilience control
-// traffic) or suppressed (dead receiver, injected drop); false hands
-// the arrival to the ordinary broadcast path.
+// handleFaultArrival applies the fault layer to one delivery: the
+// machine-global bookkeeping (injection stats, drop/flip ground truth,
+// retry service accounting, the fingerprint ledger, warm-replica
+// state), then the node-local effect. It returns true when the arrival
+// was consumed (resilience control traffic) or suppressed (dead
+// receiver, injected drop); false hands the arrival to the ordinary
+// broadcast path.
 func (m *Machine) handleFaultArrival(arr bus.Arrival) bool {
 	fs := m.fault
-	if fs.dead[arr.Node] {
+	nd, msg := m.nodes[arr.Node], arr.Msg
+	if fs.dead[nd.id] {
 		return true // a dead chip neither receives nor responds
-	}
-	m.faultArrivalGlobal(arr.Node, arr.Msg, m.now)
-	return m.faultArrivalLocal(m.nodes[arr.Node], arr.Msg, m.now)
-}
-
-// faultArrivalGlobal applies the machine-global side of one delivery at
-// a live receiver: injection stats, drop/flip ground truth, retry
-// service accounting, the fingerprint ledger, and warm-replica state.
-// Under the serial loop it runs with the node-local side in one pass;
-// under a parallel run it is the replay walk's half, re-deriving the
-// worker's decisions from the same pure function of message identity.
-func (m *Machine) faultArrivalGlobal(node int, msg bus.Message, now uint64) {
-	fs := m.fault
-	if fs.dead[node] {
-		return
 	}
 	switch msg.Ctl {
 	case bus.CtlRetryReq:
 		fs.stats.RetriesServed++
-		return
-	case bus.CtlRetryResp:
-		return
-	case bus.CtlFingerprint:
-		fs.recordFingerprint(m, msg.Src, msg.Addr, msg.Seq)
-		return
-	case bus.CtlWarmFill:
-		// The standby's copy of the page is warm from here on: a later
-		// death of the owner remaps onto it with the data already local.
-		if fs.replicas[prog.PageOf(msg.Addr)] == node {
-			fs.warm[prog.PageOf(msg.Addr)] = true
-		}
-		return
-	}
-	if msg.Kind != bus.Broadcast {
-		return
-	}
-	if fs.plan.DropArrival(msg.Src, node, msg.Addr, msg.Seq) {
-		fs.stats.InjectedDrops++
-		if _, seen := fs.dropped[node][msg.Addr]; !seen {
-			fs.dropped[node][msg.Addr] = now
-		}
-		return
-	}
-	if _, ok := fs.plan.FlipArrival(msg.Src, node, msg.Addr, msg.Seq); ok {
-		fs.stats.InjectedFlips++
-		if fs.flippedAt[node] == 0 {
-			fs.flippedAt[node] = now + 1
-		}
-		fs.flipCount[node]++
-	}
-}
-
-// faultArrivalLocal applies the node-local side of one delivery at a
-// live receiver: retry service, resend absorption, delivery suppression
-// for injected drops, and the fingerprint taint of an injected flip.
-// Every effect touches only the receiving node's own state (plus its
-// leased network/observer shims), so workers run it inside parallel
-// windows. It returns true when the arrival was consumed.
-func (m *Machine) faultArrivalLocal(nd *node, msg bus.Message, now uint64) bool {
-	fs := m.fault
-	switch msg.Ctl {
-	case bus.CtlRetryReq:
-		m.serveRetry(nd, msg, now)
+		m.serveRetry(nd, msg)
 		return true
 	case bus.CtlRetryResp:
 		// A directed resend satisfies the waiting BSHR entry exactly like
 		// the lost broadcast would have.
-		nd.onBroadcast(msg.Addr, now)
+		nd.onBroadcast(msg.Addr, m.now)
 		return true
 	case bus.CtlFingerprint:
-		return true // ledger-only: handled on the global side
+		fs.recordFingerprint(m, msg.Src, msg.Addr, msg.Seq)
+		return true
 	case bus.CtlWarmFill:
+		// The standby's copy of the page is warm from here on: a later
+		// death of the owner remaps onto it with the data already local.
+		if fs.replicas[prog.PageOf(msg.Addr)] == nd.id {
+			fs.warm[prog.PageOf(msg.Addr)] = true
+		}
 		nd.obsEvent(obs.EvFaultWarmFill, msg.Addr, uint64(msg.Src))
 		return true
 	}
@@ -266,10 +211,19 @@ func (m *Machine) faultArrivalLocal(nd *node, msg bus.Message, now uint64) bool 
 	// assumed reliable (docs/ROBUSTNESS.md): with a capped retry budget,
 	// reliable control is what bounds detection time.
 	if fs.plan.DropArrival(msg.Src, nd.id, msg.Addr, msg.Seq) {
+		fs.stats.InjectedDrops++
+		if _, seen := fs.dropped[nd.id][msg.Addr]; !seen {
+			fs.dropped[nd.id][msg.Addr] = m.now
+		}
 		nd.obsEvent(obs.EvFaultDrop, msg.Addr, uint64(msg.Src))
 		return true
 	}
 	if taint, ok := fs.plan.FlipArrival(msg.Src, nd.id, msg.Addr, msg.Seq); ok {
+		fs.stats.InjectedFlips++
+		if fs.flippedAt[nd.id] == 0 {
+			fs.flippedAt[nd.id] = m.now + 1
+		}
+		fs.flipCount[nd.id]++
 		// The timing model carries no payload (each node's emulator
 		// computes every value), so the corruption is modeled as a taint
 		// on the victim's commit fingerprint: visible to the fingerprint
@@ -285,12 +239,11 @@ func (m *Machine) faultArrivalLocal(nd *node, msg bus.Message, now uint64) bool 
 // line from its local memory (in this timing model every node's local
 // memory can source any line — the machine assumes a backing copy, which
 // the redundant-execution substrate guarantees functionally) and sends a
-// point-to-point resend to the requester. Node-local by construction:
-// the enqueue rides the node's own (possibly leased) network.
-func (m *Machine) serveRetry(nd *node, msg bus.Message, now uint64) {
-	dataAt := nd.dram.Access(now, msg.Addr)
+// point-to-point resend to the requester.
+func (m *Machine) serveRetry(nd *node, msg bus.Message) {
+	dataAt := nd.dram.Access(m.now, msg.Addr)
 	nd.obsEvent(obs.EvFaultRetryServed, msg.Addr, uint64(msg.Src))
-	nd.net.Enqueue(bus.Message{
+	m.net.Enqueue(bus.Message{
 		Kind:         bus.Response,
 		Ctl:          bus.CtlRetryResp,
 		Src:          nd.id,
@@ -532,17 +485,13 @@ func (m *Machine) selfServe(nd *node, line uint64) {
 }
 
 // emitFingerprint broadcasts node n's commit fingerprint at an interval
-// boundary and records n's own value in the machine ledger. Under a
-// parallel run the ledger/stat side is deferred: the replay drain
-// (onDrainEnqueue) re-applies it when the buffered broadcast reaches the
-// real interconnect, at the same serial position.
+// boundary and records n's own value in the machine ledger.
 func (fs *faultState) emitFingerprint(n *node, now uint64) {
 	idx := n.memCommits / fs.cfg.FingerprintInterval
 	n.obsEvent(obs.EvFaultFingerprint, idx, n.fpAccum)
 	// The send charges a local-memory read of the fingerprint register
 	// before the broadcast-queue penalty, the same path a data broadcast
-	// takes. That also keeps the interconnect's sender-floor invariant —
-	// every worker-side enqueue stays past the parallel window — intact.
+	// takes.
 	ready := now + n.cfg.BcastQueueCycles +
 		uint64(n.cfg.DRAM.AccessCycles) + uint64(n.cfg.DRAM.BusCycles)
 	n.net.Enqueue(bus.Message{
@@ -554,33 +503,8 @@ func (fs *faultState) emitFingerprint(n *node, now uint64) {
 		PayloadBytes: 8,
 		ReadyAt:      ready,
 	})
-	if !fs.deferGlobal {
-		fs.stats.FPBroadcasts++
-		fs.recordFingerprint(n.m, n.id, idx, n.fpAccum)
-	}
-}
-
-// onDrainEnqueue applies the deferred global side of a worker-buffered
-// outbound message as the replay drains it onto the real interconnect:
-// the sender-side delay injection stats of a data broadcast, and the
-// self-record of a fingerprint broadcast — each at the exact serial
-// position the buffered enqueue occupies.
-func (fs *faultState) onDrainEnqueue(m *Machine, msg bus.Message) {
-	switch msg.Ctl {
-	case bus.CtlFingerprint:
-		fs.stats.FPBroadcasts++
-		fs.recordFingerprint(m, msg.Src, msg.Addr, msg.Seq)
-	case bus.CtlNone:
-		if msg.Kind == bus.Broadcast {
-			if extra := fs.plan.DelayExtra(msg.Src, msg.Addr, msg.Seq); extra != 0 {
-				fs.stats.InjectedDelays++
-				fs.stats.DelayCycles += extra
-			}
-		}
-	case bus.CtlRetryReq, bus.CtlRetryResp, bus.CtlWarmFill:
-		// Retry service is credited at the request's arrival; retry and
-		// warm-fill sends are barrier-side and never worker-buffered.
-	}
+	fs.stats.FPBroadcasts++
+	fs.recordFingerprint(n.m, n.id, idx, n.fpAccum)
 }
 
 // recordFingerprint stores one node's fingerprint for interval idx and
@@ -704,22 +628,6 @@ func (fs *faultState) flushFingerprints(m *Machine) {
 	}
 }
 
-// minRetryDeadline returns the earliest BSHR deadline across live nodes
-// (NoDeadline when nothing waits).
-func (m *Machine) minRetryDeadline() uint64 {
-	fs := m.fault
-	next := uint64(NoDeadline)
-	for _, nd := range m.nodes {
-		if fs.dead[nd.id] {
-			continue
-		}
-		if d := nd.bshr.NextDeadline(); d < next {
-			next = d
-		}
-	}
-	return next
-}
-
 // faultNextEvent returns the earliest future cycle at which the fault
 // layer must act — the next scheduled death, or a live node's earliest
 // BSHR deadline — so the cycle-skipping scheduler never jumps past a
@@ -727,9 +635,17 @@ func (m *Machine) minRetryDeadline() uint64 {
 // blocks skipping rather than producing a bogus jump target.
 func (m *Machine) faultNextEvent() uint64 {
 	fs := m.fault
-	next := m.minRetryDeadline()
-	if fs.nextDeath < len(fs.schedule) && fs.schedule[fs.nextDeath].Cycle < next {
+	next := uint64(NoDeadline)
+	if fs.nextDeath < len(fs.schedule) {
 		next = fs.schedule[fs.nextDeath].Cycle
+	}
+	for _, nd := range m.nodes {
+		if fs.dead[nd.id] {
+			continue
+		}
+		if d := nd.bshr.NextDeadline(); d < next {
+			next = d
+		}
 	}
 	if next < m.now {
 		next = m.now

@@ -441,10 +441,9 @@ func TestQuorumLoss(t *testing.T) {
 	}
 }
 
-// TestCascadeParallelIdentical: an active multi-death plan must produce
-// bit-identical results and observation streams under the conservative
-// parallel loop — fault actions are pure functions of message identity,
-// so the predict/replay protocol covers them.
+// TestCascadeParallelIdentical: ParallelNodes must never change a
+// faulted run's bytes. Run sends every active fault plan to the serial
+// loop, so results and observation streams match at any worker count.
 func TestCascadeParallelIdentical(t *testing.T) {
 	run := func(workers int) (Result, *obs.Trace) {
 		trace := obs.NewTrace()
@@ -477,9 +476,10 @@ func TestCascadeParallelIdentical(t *testing.T) {
 }
 
 // TestCascade64Mesh is the acceptance-scale cascade: three sequential
-// owner deaths on a 64-node mesh must complete degraded — serially and
-// with the nodes partitioned across four workers — with the same
-// committed work and architectural results as the fault-free machine.
+// owner deaths on a 64-node mesh must complete degraded with the same
+// committed work and architectural results as the fault-free machine,
+// and setting ParallelNodes to 4 must not change a byte of the result
+// (fault runs always take the serial loop).
 func TestCascade64Mesh(t *testing.T) {
 	const nodes = 64
 	mesh := func(c *Config) { c.Topology.Kind = bus.TopoMesh }

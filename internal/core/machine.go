@@ -87,13 +87,9 @@ type Config struct {
 	// are exchanged at horizon barriers in a fixed deterministic order.
 	// Results, observer event streams, and samples are byte-identical to
 	// the serial loop (enforced by the differential suite in
-	// internal/sim); see docs/PERFORMANCE.md. 0 or 1 forces today's
-	// serial loop; values above Nodes are clamped. Active fault plans
-	// run in parallel too — injection decisions are pure functions of
-	// message identity, deaths land at window boundaries, and retry
-	// deadlines clip the horizon — except plans whose retry timeout or
-	// backoff cap is shorter than one window (see faultParallelOK),
-	// which fall back to serial.
+	// internal/sim); see docs/PERFORMANCE.md. 0 or 1 forces the serial
+	// loop; values above Nodes are clamped. A machine with an active
+	// fault plan always runs the serial loop, whatever this is set to.
 	ParallelNodes int
 	// ResultComm enables result communication (paper Section 5.1):
 	// PRIVB/PRIVE regions execute only at the node owning their data,
@@ -327,15 +323,12 @@ func (m *Machine) Network() bus.Network { return m.net }
 // next event; see docs/PERFORMANCE.md for the invariants that make the
 // skipped and polled runs bit-identical.
 func (m *Machine) Run() (Result, error) {
-	if m.cfg.ParallelNodes > 1 && m.cfg.Nodes > 1 && m.faultParallelOK() {
+	if m.cfg.ParallelNodes > 1 && m.cfg.Nodes > 1 && m.fault == nil {
 		// Conservative parallel intra-run simulation: byte-identical to
 		// the loop below (see internal/core/parallel.go and the
-		// differential suite in internal/sim). Fault plans run in
-		// parallel too — injection is a pure function of message
-		// identity, so workers predict faulted deliveries and the replay
-		// re-derives the global bookkeeping in serial order; only plans
-		// whose retry timing could fire inside a window (see
-		// faultParallelOK) stay serial.
+		// differential suite in internal/sim). Fault plans take the loop
+		// below: the parallel engine holds no copy of the fault layer
+		// (docs/PERFORMANCE.md §6 records why).
 		return m.runParallel()
 	}
 	noSkip := m.cfg.Core.NoCycleSkip
@@ -701,25 +694,6 @@ func (m *Machine) collect() Result {
 		r.Fault = &snap
 	}
 	return r
-}
-
-// faultParallelOK reports whether the active fault plan (if any) is safe
-// for the conservative parallel loop. The requirement: no BSHR deadline
-// armed during a window may expire before the window's horizon — i.e.
-// RetryTimeoutCycles and the backoff cap must each cover a full window
-// (sender floor + interconnect lookahead). Then the single barrier-side
-// checkTimeouts pass at each horizon observes exactly the deadlines the
-// serial loop's per-cycle pass would, and the two schedules coincide.
-func (m *Machine) faultParallelOK() bool {
-	if m.fault == nil {
-		return true
-	}
-	w := m.cfg.BcastQueueCycles + uint64(m.cfg.DRAM.AccessCycles) + uint64(m.cfg.DRAM.BusCycles)
-	if w < 1 {
-		w = 1
-	}
-	w += m.net.Lookahead()
-	return m.fault.cfg.RetryTimeoutCycles >= w && m.fault.cfg.RetryBackoffCapCycles >= w
 }
 
 // firstLive returns the lowest-numbered node that has not died (node 0

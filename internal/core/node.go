@@ -452,13 +452,8 @@ func (n *node) broadcast(line uint64, readyAt uint64, reparative bool) {
 	ready := readyAt + n.cfg.BcastQueueCycles
 	if fs := n.m.fault; fs != nil {
 		if extra := fs.plan.DelayExtra(n.id, line, seq); extra != 0 {
-			if !fs.deferGlobal {
-				// Under a parallel run the stat side is re-derived by the
-				// replay drain (onDrainEnqueue) at the buffered enqueue's
-				// serial position; the timing effect applies here either way.
-				fs.stats.InjectedDelays++
-				fs.stats.DelayCycles += extra
-			}
+			fs.stats.InjectedDelays++
+			fs.stats.DelayCycles += extra
 			n.obsEvent(obs.EvFaultDelay, line, extra)
 			ready += extra
 		}

@@ -43,7 +43,8 @@ package core
 // and error/deadlock reports — is byte-identical to the serial loop,
 // enforced by the differential suite in internal/sim and the
 // core-level sweep in parallel_test.go. docs/PERFORMANCE.md discusses
-// when the parallel loop wins and loses.
+// when the parallel loop wins and loses. Machines with an active fault
+// plan never get here: Run sends them to the serial loop.
 //
 // This file is the one place in internal/core allowed to use
 // goroutines and channels (dsvet goroutine-confinement allowlist).
@@ -258,36 +259,6 @@ func (p *parRunner) leaseNet(lease bool) {
 	}
 }
 
-// leaseAll leases (or unleases) every node's interconnect, clock, and
-// observation wiring at once. The barrier's fault-timeout pass runs
-// fully unleased: its retries, self-serves, and events must hit the real
-// network and observer directly at m.now, exactly as the serial loop's
-// end-of-cycle checkTimeouts does — buffering them through a shim would
-// stamp stale cycles and misplace them in the merged event stream.
-func (p *parRunner) leaseAll(lease bool) {
-	m := p.m
-	for _, pn := range p.pnodes {
-		nd := pn.nd
-		if lease {
-			nd.net = pn
-			nd.clock = &pn.now
-			if m.obs != nil {
-				nd.obs = pn
-				nd.bshr.SetObserver(pn, nd.id, &pn.now)
-				nd.l1.SetObserver(pn, nd.id, &pn.now)
-			}
-		} else {
-			nd.net = p.net
-			nd.clock = &m.now
-			if m.obs != nil {
-				nd.obs = m.obs
-				nd.bshr.SetObserver(m.obs, nd.id, &m.now)
-				nd.l1.SetObserver(m.obs, nd.id, &m.now)
-			}
-		}
-	}
-}
-
 // shutdown stops the workers and returns every node to the serial
 // wiring, so a Machine remains inspectable (and re-runnable serially)
 // after a parallel run.
@@ -325,14 +296,8 @@ func (w *parWorker) loop() {
 func (w *parWorker) runWindow(t, h uint64) {
 	noSkip := w.m.cfg.Core.NoCycleSkip
 	obsOn := w.m.obs != nil
-	fs := w.m.fault
 	for _, pn := range w.pnodes {
 		if pn.done {
-			continue
-		}
-		if fs != nil && fs.dead[pn.nd.id] {
-			// Dead nodes never run; the barrier charges their StallDead
-			// stretch (liveness only changes at window boundaries).
 			continue
 		}
 		nd := pn.nd
@@ -355,13 +320,6 @@ func (w *parWorker) runWindow(t, h uint64) {
 				pn.idx = pr.idx
 				if nd.wake > c {
 					nd.wake = c
-				}
-				// Node-local fault effects (suppression, retry service,
-				// fingerprint taint) are pure functions of message identity,
-				// so the worker applies them here; the replay re-derives
-				// the global bookkeeping at the same serial position.
-				if fs != nil && w.m.faultArrivalLocal(nd, pr.msg, c) {
-					continue
 				}
 				if pr.msg.Kind == bus.Broadcast {
 					if obsOn {
@@ -457,34 +415,32 @@ func (p *parRunner) flushEvents(pn *parNode, cyc uint64, idx int32) {
 // partial cycle of a core-error abort (-1: all nodes), mirroring the
 // serial loop's immediate return. A real delivery diverging from the
 // prediction would mean the lookahead invariant is broken — a simulator
-// bug — and panics rather than silently corrupting a deterministic run.
-func (p *parRunner) replayCycle(c uint64, limitNode int) {
+// bug — so replay stops with an error naming both messages rather than
+// silently corrupting a deterministic run.
+func (p *parRunner) replayCycle(c uint64, limitNode int) error {
 	m := p.m
 	m.now = c
 	idx := int32(0)
 	for _, arr := range m.net.Tick(c) {
-		if p.predCur >= len(p.wpreds) || p.wpreds[p.predCur].cyc != c ||
-			p.wpreds[p.predCur].node != arr.Node || p.wpreds[p.predCur].msg != arr.Msg {
-			panic(fmt.Sprintf("core: parallel: real delivery diverged from prediction at cycle %d node %d", c, arr.Node))
+		got := flatPred{cyc: c, node: arr.Node, msg: arr.Msg}
+		if p.predCur >= len(p.wpreds) || p.wpreds[p.predCur] != got {
+			predicted := "nothing"
+			if p.predCur < len(p.wpreds) {
+				w := p.wpreds[p.predCur]
+				predicted = fmt.Sprintf("%+v to node %d at cycle %d", w.msg, w.node, w.cyc)
+			}
+			return fmt.Errorf("core: parallel: real delivery diverged from prediction at cycle %d node %d: predicted %s, delivered %+v",
+				c, arr.Node, predicted, arr.Msg)
 		}
 		p.predCur++
 		pn := p.pnodes[arr.Node]
-		// Global fault bookkeeping for every delivery, in serial order
-		// (the workers applied only the node-local half). A dead
-		// receiver's arrivals vanish here, as in the serial loop.
-		if m.fault != nil {
-			m.faultArrivalGlobal(arr.Node, arr.Msg, c)
-		}
 		if pn.done && pn.doneCycle <= c {
 			// Deferred: the worker left the node at doneCycle; apply the
 			// arrival now, through the node's buffer so any observation it
 			// emits merges at this exact position.
 			pn.now = c
 			pn.idx = idx
-			if m.fault != nil && m.faultArrivalLocal(pn.nd, arr.Msg, c) {
-				// Consumed by the fault layer (a done node still serves
-				// retries and absorbs control traffic, like the serial loop).
-			} else if arr.Msg.Kind == bus.Broadcast {
+			if arr.Msg.Kind == bus.Broadcast {
 				if m.obs != nil {
 					pn.Event(obs.Event{
 						Cycle: c, Node: arr.Node, Kind: obs.EvBroadcastArrived,
@@ -502,13 +458,7 @@ func (p *parRunner) replayCycle(c uint64, limitNode int) {
 			break
 		}
 		for pn.enqHead < len(pn.enq) && pn.enq[pn.enqHead].cyc == c {
-			msg := pn.enq[pn.enqHead].msg
-			if m.fault != nil {
-				// Deferred global side of the buffered send (delay stats,
-				// fingerprint self-record), at its serial position.
-				m.fault.onDrainEnqueue(m, msg)
-			}
-			m.net.Enqueue(msg)
+			m.net.Enqueue(pn.enq[pn.enqHead].msg)
 			pn.enqHead++
 		}
 		for pn.qryHead < len(pn.qry) && pn.qry[pn.qryHead].cyc == c {
@@ -522,6 +472,7 @@ func (p *parRunner) replayCycle(c uint64, limitNode int) {
 		}
 		p.flushEvents(pn, c, cycleTag)
 	}
+	return nil
 }
 
 // runParallel is Machine.Run's parallel twin: the same loop structure,
@@ -533,27 +484,12 @@ func (m *Machine) runParallel() (Result, error) {
 	}
 	p := newParRunner(m)
 	defer p.shutdown()
-	if m.fault != nil {
-		// Workers apply only node-local fault effects; the global side
-		// (stats, ledger, ground truth) is re-derived at replay. Reset on
-		// exit so the machine can be inspected or re-run serially.
-		m.fault.deferGlobal = true
-		defer func() { m.fault.deferGlobal = false }()
-	}
 	lastProgress := uint64(0)
 
 	for {
-		// Scheduled deaths land exactly at window starts (the horizon is
-		// clipped to the next death cycle below), so killing here matches
-		// the serial loop's cycle-top maybeKill. Workers are idle and the
-		// nodes effectively unleased between windows, so the kill acts on
-		// real machine state.
-		if m.fault != nil {
-			m.maybeKill()
-		}
 		done := true
 		for _, nd := range m.nodes {
-			if !nd.core.Done() && !m.nodeDead(nd.id) {
+			if !nd.core.Done() {
 				done = false
 				break
 			}
@@ -576,29 +512,6 @@ func (m *Machine) runParallel() (Result, error) {
 				h = nb
 			}
 		}
-		if fs := m.fault; fs != nil {
-			if fs.report != nil {
-				// A quorum loss armed at this window's kill: the serial
-				// loop executes exactly one more cycle before returning.
-				h = t + 1
-			}
-			// Kills must land at window starts; maybeKill above retired
-			// everything <= t, so the next scheduled cycle is strictly
-			// ahead and a one-cycle window is the worst case.
-			if fs.nextDeath < len(fs.schedule) {
-				if dc := fs.schedule[fs.nextDeath].Cycle; dc < h {
-					h = dc
-				}
-			}
-			// No BSHR deadline may expire strictly inside a window (the
-			// faultParallelOK precondition keeps in-window arms past any
-			// horizon): clip so the earliest pending deadline expires
-			// exactly at the barrier's h-1 timeout pass, where the serial
-			// loop's end-of-cycle pass would have caught it.
-			if dl := m.minRetryDeadline(); dl != NoDeadline && dl+1 < h {
-				h = dl + 1
-			}
-		}
 
 		p.predict(t, h)
 		for _, w := range p.workers {
@@ -614,9 +527,6 @@ func (m *Machine) runParallel() (Result, error) {
 		errNode := -1
 		allDone := true
 		for i, pn := range p.pnodes {
-			if m.nodeDead(i) {
-				continue // a dead node neither errs, finishes, nor progresses
-			}
 			if pn.err != nil && (errNode < 0 || pn.errCycle < p.pnodes[errNode].errCycle) {
 				errNode = i
 			}
@@ -634,9 +544,13 @@ func (m *Machine) runParallel() (Result, error) {
 			// the abort cycle match exactly.
 			ec := p.pnodes[errNode].errCycle
 			for c := t; c < ec; c++ {
-				p.replayCycle(c, -1)
+				if err := p.replayCycle(c, -1); err != nil {
+					return Result{}, err
+				}
 			}
-			p.replayCycle(ec, errNode)
+			if err := p.replayCycle(ec, errNode); err != nil {
+				return Result{}, err
+			}
 			m.now = ec
 			return Result{}, fmt.Errorf("core: node %d: %w", errNode, p.pnodes[errNode].err)
 		}
@@ -647,32 +561,21 @@ func (m *Machine) runParallel() (Result, error) {
 		endExec := h
 		if allDone {
 			endExec = t
-			for i, pn := range p.pnodes {
-				if !m.nodeDead(i) && pn.doneCycle > endExec {
+			for _, pn := range p.pnodes {
+				if pn.doneCycle > endExec {
 					endExec = pn.doneCycle
 				}
 			}
 		}
 		for c := t; c < endExec; c++ {
-			p.replayCycle(c, -1)
-			if fs := m.fault; fs != nil && fs.report != nil && c < endExec-1 {
-				// A divergence surfaced mid-window (fingerprint ledger):
-				// the serial loop finishes cycle c and returns. Later
-				// cycles the workers over-executed stay unreplayed and
-				// unobservable (no events flushed, no net mutation, no
-				// global stats), exactly like the core-error abort path.
-				m.now = c
-				return Result{}, fs.report
+			if err := p.replayCycle(c, -1); err != nil {
+				return Result{}, err
 			}
 		}
-		// The serial loop charges StallHalted to every done node — and
-		// StallDead to every dead one — on every executed cycle; the
-		// workers touch neither, so charge the whole stretch here.
-		for i, pn := range p.pnodes {
-			if m.nodeDead(i) {
-				pn.nd.core.CPIStack().Add(obs.StallDead, endExec-t)
-				continue
-			}
+		// The serial loop charges StallHalted to every done node on every
+		// executed cycle; the workers do not, so charge the whole stretch
+		// here.
+		for _, pn := range p.pnodes {
 			if !pn.done || pn.doneCycle >= endExec {
 				continue
 			}
@@ -681,23 +584,6 @@ func (m *Machine) runParallel() (Result, error) {
 				from = t
 			}
 			pn.nd.core.CPIStack().Add(obs.StallHalted, endExec-from)
-		}
-		if m.fault != nil && endExec == h {
-			// The barrier's single timeout pass at h-1: by the horizon
-			// clips, no deadline expired at any earlier executed cycle, so
-			// this one pass reproduces the serial loop's per-cycle
-			// checkTimeouts schedule. It runs fully unleased — retries and
-			// self-serves act on the real interconnect and observer.
-			m.now = h - 1
-			p.leaseAll(false)
-			m.checkTimeouts()
-			p.leaseAll(true)
-		}
-		if m.fault != nil {
-			if r := m.fault.report; r != nil {
-				m.now = endExec - 1
-				return Result{}, r
-			}
 		}
 		if (endExec-1)-lastProgress > watchdog {
 			m.now = endExec - 1

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/wisc-arch/datascalar/internal/bus"
@@ -141,5 +142,41 @@ func TestParallelSteadyStateAllocs(t *testing.T) {
 	// a per-window leak fails it immediately.
 	if allocs := after.Mallocs - before.Mallocs; allocs > 25_000 {
 		t.Fatalf("parallel run allocated %d objects; window state is supposed to be reused", allocs)
+	}
+}
+
+// TestParallelReplayDivergenceError: a real delivery that differs from
+// the window's prediction means the lookahead invariant broke. Replay
+// must return an error naming the cycle, the receiving node, and the
+// predicted and delivered messages, not panic.
+func TestParallelReplayDivergenceError(t *testing.T) {
+	m := buildMachine(t, streamSum, 2, func(c *Config) { c.ParallelNodes = 2 })
+	p := newParRunner(m)
+	defer p.shutdown()
+	m.net.Enqueue(bus.Message{Kind: bus.Broadcast, Src: 0, Addr: 0x1000, PayloadBytes: 32})
+	const h = 1_000
+	p.predict(0, h)
+	if len(p.wpreds) == 0 {
+		t.Fatal("no delivery predicted in the window")
+	}
+	orig := p.wpreds[0]
+	p.wpreds[0].msg.Addr = 0x2000
+	tampered := p.wpreds[0].msg
+
+	var err error
+	for c := uint64(0); c < h && err == nil; c++ {
+		err = p.replayCycle(c, -1)
+	}
+	if err == nil {
+		t.Fatal("replay accepted a delivery that differs from its prediction")
+	}
+	for _, want := range []string{
+		fmt.Sprintf("at cycle %d node %d", orig.cyc, orig.node),
+		fmt.Sprintf("predicted %+v", tampered),
+		fmt.Sprintf("delivered %+v", orig.msg),
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }

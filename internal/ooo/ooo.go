@@ -272,9 +272,7 @@ func (h *compHeap) pop() compEvent {
 // always holds the contiguous seq range [head, nextSeq), so slot order
 // starting from head%RUUSize and wrapping IS seq order — a circular
 // first-set-bit scan pops the oldest ready instruction without any heap
-// discipline, and set/clear are single OR/AND-NOT word ops. (The heap
-// this replaced survives in readyselect_bench_test.go as the
-// BenchmarkReadySelect baseline.)
+// discipline, and set/clear are single OR/AND-NOT word ops.
 
 // Core is one out-of-order processor.
 type Core struct {

@@ -196,9 +196,9 @@ func TestFaultCampaignTopologyFromOptions(t *testing.T) {
 // TestCascadeCampaign64Mesh is the scale acceptance test for graceful
 // degradation: a three-deep sequential-death cascade on a 64-node mesh
 // must complete degraded at every depth (a monotone survival curve at
-// 100%), and the whole campaign must produce a byte-identical JSON
-// artifact when each run's nodes are partitioned across four worker
-// goroutines — fault recovery and intra-run parallelism compose.
+// 100%), and -parallel-nodes 4 must not change a byte of the campaign
+// JSON: fault runs always take the serial node loop, and only the
+// fault-free baselines are partitioned.
 func TestCascadeCampaign64Mesh(t *testing.T) {
 	cc := FaultCampaignConfig{
 		Workloads: []string{"compress"},

@@ -90,13 +90,10 @@ func TestParallelNodesDifferential(t *testing.T) {
 }
 
 // TestParallelNodesActiveFaultDifferential extends the differential to
-// an *active* fault plan — a mid-run death with recovery. Fault
-// injection is a pure function of message identity and all global fault
-// bookkeeping is re-derived on the replay side, so the full
-// architectural outcome — fault counters, recovery trajectory, CPI
-// stacks — must be bit-identical at any ParallelNodes setting. (The
-// conservative gate only falls back to the serial loop when the plan's
-// retry deadlines are shorter than a window; this plan's are not.)
+// an *active* fault plan — a mid-run death with recovery. Machines with
+// an active plan always run the serial node loop, so ParallelNodes must
+// never change a byte of the outcome: fault counters, recovery
+// trajectory, CPI stacks.
 func TestParallelNodesActiveFaultDifferential(t *testing.T) {
 	plan := fault.Config{Deaths: []fault.Death{{Node: 1, Cycle: 5_000}}, Recover: true,
 		RetryTimeoutCycles: 1_000, MaxRetries: 3}

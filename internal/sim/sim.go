@@ -42,9 +42,10 @@ type Options struct {
 	// ParallelNodes partitions the nodes of every DataScalar machine
 	// across that many worker goroutines inside a single run
 	// (conservative intra-run parallelism; see docs/PERFORMANCE.md). 0
-	// or 1 keeps the serial node loop. Results are bit-identical at every
-	// setting — the differential suite in pardiff_test.go enforces it —
-	// so the knob trades wall-clock for cores, never accuracy.
+	// or 1 keeps the serial node loop, and so does any machine with an
+	// active fault plan. Results are bit-identical at every setting — the
+	// differential suite in pardiff_test.go enforces it — so the knob
+	// trades wall-clock for cores, never accuracy.
 	// Independent of Parallel: that bounds concurrent jobs, this bounds
 	// goroutines inside each job, and the two multiply.
 	ParallelNodes int

@@ -139,7 +139,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	parallelNodes := fs.Int("parallel-nodes", 1, "worker goroutines partitioning the nodes inside a ds run (results are bit-identical at any setting; 1 = serial node loop)")
 	scale := fs.Int("scale", 1, "workload scale factor")
 	instr := fs.Uint64("instr", 0, "max measured instructions (0 = run to completion)")
-	watchdog := fs.Uint64("watchdog", 0, "cycles without commit progress before the deadlock watchdog fires (0 = default)")
+	watchdog := fs.Uint64("watchdog", 0, "cycles without commit progress before a ds run's deadlock watchdog fires (0 = default)")
 	list := fs.Bool("list", false, "list bundled workloads and exit")
 	report := fs.Bool("report", false, "print full statistics tables after DataScalar runs")
 	cpi := fs.Bool("cpi", false, "print the CPI-stack table (per-node cycle attribution) after the run")
@@ -207,6 +207,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if *parallelNodes > 1 && *system != "ds" {
 		return usage("-parallel-nodes requires -system ds (got %q)", *system)
+	}
+	if *watchdog != 0 && *system != "ds" {
+		return usage("-watchdog requires -system ds (got %q)", *system)
 	}
 
 	artifact := runArtifact{

@@ -32,6 +32,10 @@ func TestExitCodes(t *testing.T) {
 		{"usage/unknown-system", []string{"-workload", "compress", "-system", "bogus"}, cli.ExitUsage, "unknown system"},
 		{"usage/fault-on-traditional", []string{"-workload", "compress", "-system", "traditional", "-fault-drop", "0.1"},
 			cli.ExitUsage, "-fault-* flags require -system ds"},
+		{"usage/watchdog-on-traditional", []string{"-workload", "compress", "-system", "traditional", "-watchdog", "1", "-instr", "5000"},
+			cli.ExitUsage, "-watchdog requires -system ds"},
+		{"usage/watchdog-on-perfect", []string{"-workload", "compress", "-system", "perfect", "-watchdog", "1", "-instr", "5000"},
+			cli.ExitUsage, "-watchdog requires -system ds"},
 		{"ok/clean-run", []string{"-workload", "compress", "-instr", "5000"},
 			cli.ExitOK, "correspondence=true"},
 		{"ok/faulty-run-recovers", []string{"-workload", "compress", "-instr", "5000",
@@ -101,5 +105,62 @@ func TestJSONArtifactWithFaults(t *testing.T) {
 	}
 	if bytes.Contains(data, []byte(`"Fault"`)) {
 		t.Fatalf("fault-free artifact mentions faults:\n%s", data)
+	}
+}
+
+// TestUnmappedGuestAccess: a guest load or store outside the page table
+// is an error in the program, so the run ends with exit 1 and an error
+// naming the node and the address — never a panic. The load comes after
+// a streaming loop, so the first node to reach it is not node 0, and the
+// error is the same at any -parallel-nodes.
+func TestUnmappedGuestAccess(t *testing.T) {
+	const prologue = `
+        .data
+arr:    .space 65536
+        .text
+        li   r1, arr
+        li   r2, 8192
+loop:   ld   r4, 0(r1)
+        addi r1, r1, 8
+        addi r2, r2, -1
+        bne  r2, r0, loop
+        li   r5, 0x7000000
+`
+	dir := t.TempDir()
+	write := func(name, access string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(prologue+access+"        halt\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	load := write("load.s", "        ld   r6, 0(r5)\n")
+	store := write("store.s", "        sd   r4, 0(r5)\n")
+
+	const ds = "core: node 3: load at unmapped address 0x7000000"
+	tests := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"ds/load", []string{"-asm", load, "-nodes", "4"}, ds},
+		{"ds/load/parallel-nodes-2", []string{"-asm", load, "-nodes", "4", "-parallel-nodes", "2"}, ds},
+		{"ds/store", []string{"-asm", store, "-nodes", "4"}, "core: node 3: store at unmapped address 0x7000000"},
+		{"traditional/load", []string{"-asm", load, "-system", "traditional", "-nodes", "4"},
+			"traditional: chip 0: load at unmapped address 0x7000000"},
+		{"traditional/store", []string{"-asm", store, "-system", "traditional", "-nodes", "4"},
+			"traditional: chip 0: store at unmapped address 0x7000000"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := run(t, tc.args...)
+			if code != cli.ExitFailure {
+				t.Fatalf("exit code = %d, want %d\nstdout:\n%s\nstderr:\n%s",
+					code, cli.ExitFailure, stdout, stderr)
+			}
+			if !strings.Contains(stderr, tc.want) {
+				t.Fatalf("stderr lacks %q:\n%s", tc.want, stderr)
+			}
+		})
 	}
 }

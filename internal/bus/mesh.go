@@ -73,12 +73,20 @@ type meshBranch struct {
 // included) sprouts ±Y column branches, delivering to each of the other
 // N−1 nodes exactly once with no revisits. The torus halves both spans
 // by travelling each direction only halfway around.
+//
+// The paper's SCI-style ring is the one-way 1×N torus (NewRing), one
+// row of N nodes: every message travels +X, a point-to-point route takes (dst−src) mod N
+// hops, and a broadcast laps all N hops, the last one back into its
+// sender, which strips it without delivering it.
 type Mesh struct {
 	cfg  LinkConfig
 	n    int
 	w, h int
 	// wrap distinguishes the torus (true) from the mesh.
 	wrap bool
+	// oneWay marks the ring: a wrapped single row whose messages only
+	// travel +X.
+	oneWay bool
 	// linkFree[node*4+dir] is the first cycle that directed link is idle.
 	linkFree []uint64
 	// flight and next are double-buffered branch sets: Tick drains one
@@ -105,8 +113,10 @@ type Mesh struct {
 
 // meshDims factors n into the squarest W×H grid with W ≤ H: the largest
 // divisor of n not exceeding √n. Prime n degenerates to a 1×n line
-// (mesh) or ring (torus) — still correct, just without the bisection
-// advantage, so experiment configs prefer composite node counts.
+// (mesh) or two-way ring (torus) — still correct, just without the
+// bisection advantage, so experiment configs prefer composite node
+// counts. The one-way ring does not use it: NewRing puts all N nodes
+// in one row along X.
 func meshDims(n int) (w, h int) {
 	w = 1
 	for d := 2; d*d <= n; d++ {
@@ -140,14 +150,8 @@ func newMesh(cfg LinkConfig, numNodes int, wrap bool) *Mesh {
 	}
 }
 
-// Config returns the link configuration.
-func (ms *Mesh) Config() LinkConfig { return ms.cfg }
-
 // Dims returns the grid dimensions (W, H).
 func (ms *Mesh) Dims() (int, int) { return ms.w, ms.h }
-
-// Wrap reports whether the grid is a torus.
-func (ms *Mesh) Wrap() bool { return ms.wrap }
 
 // NetStats implements Network.
 func (ms *Mesh) NetStats() *Stats { return &ms.stats }
@@ -189,10 +193,13 @@ func (ms *Mesh) neighbor(at int, dir uint8) int {
 // axisDist returns the hop count and direction to close a one-axis
 // delta of `to-from` on an axis of `size` nodes: the absolute delta on
 // a mesh, the shorter way around on a torus (ties go the plus
-// direction).
+// direction), always the plus way on the ring.
 func (ms *Mesh) axisDist(from, to, size int, plus, minus uint8) (int, uint8) {
 	if from == to {
 		return 0, plus
+	}
+	if ms.oneWay {
+		return (to - from + size) % size, plus
 	}
 	if !ms.wrap {
 		if to > from {
@@ -229,8 +236,12 @@ func (ms *Mesh) hopCount(src, dst int) int {
 // spans returns the ± branch lengths that cover the size-1 other nodes
 // of one axis: everything to each side on a mesh, half each way on a
 // torus (the plus branch takes the extra node when size is odd... it
-// takes floor(size/2), the minus branch the remaining ceil(size/2)-1).
+// takes floor(size/2), the minus branch the remaining ceil(size/2)-1),
+// all of them the plus way on the ring.
 func (ms *Mesh) spans(pos, size int) (plus, minus int) {
+	if ms.oneWay {
+		return size - 1, 0
+	}
 	if !ms.wrap {
 		return size - 1 - pos, pos
 	}
@@ -240,7 +251,8 @@ func (ms *Mesh) spans(pos, size int) (plus, minus int) {
 // Enqueue implements Network. A point-to-point message becomes one
 // dimension-order branch; a broadcast becomes its tree's initial
 // branches at the source (±X row branches that will spawn columns, plus
-// the source's own ±Y column branches).
+// the source's own ±Y column branches). On the ring a broadcast is one
+// +X branch that laps back into its sender.
 func (ms *Mesh) Enqueue(m Message) {
 	if m.Src < 0 || m.Src >= ms.n {
 		panic(fmt.Sprintf("mesh: bad source %d", m.Src))
@@ -248,6 +260,9 @@ func (ms *Mesh) Enqueue(m Message) {
 	hdr := &meshMsg{msg: m}
 	if m.Kind == Broadcast {
 		rowPlus, rowMinus := ms.spans(m.Src%ms.w, ms.w)
+		if ms.oneWay {
+			rowPlus++ // the strip hop back into the sender
+		}
 		hdr.colPlus, hdr.colMinus = ms.spans(m.Src/ms.w, ms.h)
 		if rowPlus > 0 {
 			hdr.branches++
@@ -302,7 +317,9 @@ func (ms *Mesh) SourcePending(src int) int { return ms.bySrc[src] }
 // PurgeSource implements Network: messages src submitted whose trees
 // have not yet touched the wire die with the node (all their branches
 // at once); messages with any hop already taken keep flowing — the
-// remaining hops are driven by the routers, not the dead source.
+// remaining hops are driven by the routers, not the dead source. A ring
+// broadcast is still stripped, because the strip hop is counted, not
+// performed by the sender.
 func (ms *Mesh) PurgeSource(src int) int {
 	n := 0
 	kept := ms.flight[:0]
@@ -329,10 +346,10 @@ func (ms *Mesh) PurgeSource(src int) int {
 
 // NextDeliveryCycle implements Network for the mesh: the minimum over
 // all in-flight hops' completion cycles and all sitting branches'
-// earliest possible departures (ready and link free). As on the ring
-// the value is a safe lower bound — contention may push an actual
-// departure later, and a Tick at the returned cycle then simply does
-// nothing and the scheduler recomputes.
+// earliest possible departures (ready and link free). The value is a
+// safe lower bound — contention may push an actual departure later,
+// and a Tick at the returned cycle then simply does nothing and the
+// scheduler recomputes.
 func (ms *Mesh) NextDeliveryCycle(now uint64) uint64 {
 	next := uint64(NoEvent)
 	for i := range ms.flight {
@@ -366,7 +383,12 @@ func (ms *Mesh) Lookahead() uint64 {
 }
 
 // NewScratch implements Network.
-func (ms *Mesh) NewScratch() Network { return newMesh(ms.cfg, ms.n, ms.wrap) }
+func (ms *Mesh) NewScratch() Network {
+	if ms.oneWay {
+		return NewRing(ms.cfg, ms.n)
+	}
+	return newMesh(ms.cfg, ms.n, ms.wrap)
+}
 
 // CopyStateFrom implements Network for the mesh: replicate link
 // occupancy, counters, and every branch, cloning each distinct shared
@@ -403,13 +425,13 @@ func (ms *Mesh) CopyStateFrom(src Network) {
 	}
 }
 
-// DataPhase implements Network for the mesh, mirroring the ring's
-// binding-constraint semantics: any branch of a matching message on the
-// wire is Transfer; a tree not yet injected whose own readiness is the
-// binding constraint (its departure link already free by then) is
-// Queued; anything else waits behind other traffic — Blocked. All
-// inputs are frozen across any stretch NextDeliveryCycle certifies as
-// no-ops, so attribution cannot flip inside a skipped stretch.
+// DataPhase implements Network with binding-constraint semantics: any
+// branch of a matching message on the wire is Transfer; a tree not yet
+// injected whose own readiness is the binding constraint (its departure
+// link already free by then) is Queued; anything else waits behind
+// other traffic — Blocked. All inputs are frozen across any stretch
+// NextDeliveryCycle certifies as no-ops, so attribution cannot flip
+// inside a skipped stretch.
 //
 //dsvet:hotpath
 func (ms *Mesh) DataPhase(addr uint64, dst int, now uint64) MsgPhase {
@@ -457,9 +479,12 @@ func (ms *Mesh) Tick(now uint64) []Arrival {
 			b.inFlight = false
 			b.remaining--
 			if b.m.msg.Kind == Broadcast {
-				// Tree branches deliver at every node they reach and
-				// never revisit the source.
-				out = append(out, Arrival{Node: b.at, Msg: b.m.msg})
+				// Tree branches deliver at every node they reach. Only
+				// the ring's strip hop reaches the source, which removes
+				// its own message instead.
+				if b.at != b.m.msg.Src {
+					out = append(out, Arrival{Node: b.at, Msg: b.m.msg})
+				}
 				if b.spawn {
 					// Row branch: sprout this row node's column branches.
 					// They join cur and are scanned later in this same

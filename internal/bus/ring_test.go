@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 )
 
-func runRing(r *Ring, until uint64) map[uint64][]Arrival {
+func runRing(r *Mesh, until uint64) map[uint64][]Arrival {
 	out := map[uint64][]Arrival{}
 	for now := uint64(0); now <= until && (r.Pending() > 0 || now == 0); now++ {
 		// Tick's slice is only valid until the next call: copy to retain.
@@ -53,6 +53,52 @@ func TestRingPointToPointStopsAtDst(t *testing.T) {
 	}
 	if len(arrivals) != 1 || arrivals[0].Node != 2 {
 		t.Fatalf("arrivals = %+v, want exactly one at node 2", arrivals)
+	}
+}
+
+// TestRingOneWayTiming pins the two behaviours that set the ring apart
+// from a torus of the same size: a point-to-point message always
+// travels forward, taking (dst−src) mod N hops even where the other way
+// is shorter, and a broadcast laps the whole ring, its last hop back
+// into the sender, which strips it without delivering it.
+func TestRingOneWayTiming(t *testing.T) {
+	cfg := LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}
+
+	// A header-only request is one beat per hop: 0→1→2→3, where a torus
+	// would take the single hop 0→3 backwards.
+	r := NewRing(cfg, 4)
+	r.Enqueue(Message{Kind: Request, Src: 0, Dst: 3})
+	byCycle := runRing(r, 100)
+	if len(byCycle) != 1 || len(byCycle[3]) != 1 || byCycle[3][0].Node != 3 {
+		t.Fatalf("request 0→3 arrivals = %+v, want one at node 3 on cycle 3", byCycle)
+	}
+	if busy := r.NetStats().BusyCycles.Value(); busy != 3 {
+		t.Fatalf("request 0→3 busy cycles = %d, want 3", busy)
+	}
+
+	// An 8-byte broadcast is two beats per hop: 1→2→3→0, then the
+	// strip hop 0→1 that keeps it pending until cycle 8.
+	r = NewRing(cfg, 4)
+	r.Enqueue(Message{Kind: Broadcast, Src: 1, PayloadBytes: 8})
+	wantAt := map[uint64]int{2: 2, 4: 3, 6: 0}
+	for now := uint64(0); now <= 8; now++ {
+		if p := r.Pending(); p != 1 {
+			t.Fatalf("before Tick(%d): Pending = %d, want 1", now, p)
+		}
+		arr := r.Tick(now)
+		node, want := wantAt[now]
+		switch {
+		case want && (len(arr) != 1 || arr[0].Node != node):
+			t.Fatalf("Tick(%d) arrivals = %+v, want one at node %d", now, arr, node)
+		case !want && len(arr) != 0:
+			t.Fatalf("Tick(%d) arrivals = %+v, want none", now, arr)
+		}
+	}
+	if p := r.Pending(); p != 0 {
+		t.Fatalf("after the strip hop: Pending = %d, want 0", p)
+	}
+	if busy := r.NetStats().BusyCycles.Value(); busy != 8 {
+		t.Fatalf("broadcast busy cycles = %d, want 8", busy)
 	}
 }
 

@@ -398,7 +398,7 @@ func (m *Machine) Run() (Result, error) {
 				nd.core.SkipCycles(m.now, 1)
 			default:
 				nd.core.Cycle(m.now)
-				if err := nd.core.Err(); err != nil {
+				if err := nd.runErr(); err != nil {
 					return Result{}, fmt.Errorf("core: node %d: %w", nd.id, err)
 				}
 				if !noSkip {

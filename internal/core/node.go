@@ -146,6 +146,10 @@ type node struct {
 	// so digests at equal memCommits counts must be equal.
 	memCommits uint64
 	digests    map[uint64]uint64 // memCommits -> tag-state digest
+
+	// unmapped is the node's first guest access outside the page table
+	// (sticky). The run loop returns it after the node's cycle.
+	unmapped error
 }
 
 var _ ooo.MemPort = (*node)(nil)
@@ -246,6 +250,11 @@ func (n *node) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) (
 		n.inflight[tok] = issueInfo{hit: true}
 		return now + n.cfg.L1HitCycles, false
 	}
+	pe, ok := n.pt.Lookup(addr)
+	if !ok {
+		n.noteUnmapped("load", addr)
+		return now + n.cfg.L1HitCycles, false
+	}
 	n.stats.IssueMisses.Inc()
 	n.inflight[tok] = issueInfo{hit: false, attached: true}
 
@@ -259,14 +268,14 @@ func (n *node) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) (
 	}
 	n.outstanding[line] = e
 
-	if n.pt.Owns(addr, n.id) {
+	if pe.Owns(n.id) {
 		// Local memory has the line (replicated page, or this node owns
 		// the communicated page).
 		n.stats.LocalMisses.Inc()
 		dataAt := n.dram.Access(now+n.cfg.L1HitCycles, line)
 		e.dataAt = dataAt
 		e.local = true
-		if !n.pt.IsReplicated(addr) && n.cfg.Nodes > 1 {
+		if pe.Kind == mem.Communicated && n.cfg.Nodes > 1 {
 			// ESP: push the line to every other node. The broadcast
 			// leaves after the broadcast-queue penalty; this node's own
 			// load does not wait for the bus.
@@ -398,14 +407,37 @@ func (n *node) afterMemCommit(now, addr uint64) {
 // memory and is dropped everywhere else, generating no traffic.
 func (n *node) CommitStore(now uint64, addr uint64, size int) {
 	if !n.l1.Touch(addr, true) { // store hit dirties the line in every node's cache
-		if n.pt.Owns(addr, n.id) {
+		pe, ok := n.pt.Lookup(addr)
+		switch {
+		case !ok:
+			n.noteUnmapped("store", addr)
+		case pe.Owns(n.id):
 			n.stats.StoresLocal.Inc()
 			n.dram.Access(now, n.l1.LineAddr(addr)) // bank occupancy; fire and forget
-		} else {
+		default:
 			n.stats.StoresDropped.Inc()
 		}
 	}
 	n.afterMemCommit(now, addr)
+}
+
+// noteUnmapped records the node's first guest access outside the page
+// table. The caller completes the access without touching memory state,
+// and the run loop ends the run with the error after this cycle.
+func (n *node) noteUnmapped(op string, addr uint64) {
+	if n.unmapped == nil {
+		n.unmapped = mem.UnmappedError(op, addr)
+	}
+}
+
+// runErr returns the error that ends the run after the node's cycle:
+// its core's (a failing instruction source) or its first access outside
+// the page table.
+func (n *node) runErr() error {
+	if err := n.core.Err(); err != nil {
+		return err
+	}
+	return n.unmapped
 }
 
 // UsePrivate implements ooo.PrivatePort: the private path is active only

@@ -337,7 +337,7 @@ func (w *parWorker) runWindow(t, h uint64) {
 				nd.core.SkipCycles(c, 1)
 			} else {
 				nd.core.Cycle(c)
-				if err := nd.core.Err(); err != nil {
+				if err := nd.runErr(); err != nil {
 					pn.errCycle, pn.err = c, err
 					break
 				}

@@ -62,7 +62,11 @@ func (s *regionSource) Next() (emu.Dyn, bool, error) {
 	if d.Instr.Op != isa.OpPRIVB {
 		return d, true, nil
 	}
-	if s.pt.IsReplicated(d.EA) || s.pt.Owns(d.EA, s.nodeID) {
+	pe, ok := s.pt.Lookup(d.EA)
+	if !ok {
+		return emu.Dyn{}, false, mem.UnmappedError("private region", d.EA)
+	}
+	if pe.Owns(s.nodeID) {
 		// This node executes the region (as owner, or because the
 		// region's data is replicated everywhere).
 		return d, true, nil

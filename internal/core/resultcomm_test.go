@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/wisc-arch/datascalar/internal/asm"
@@ -168,5 +169,41 @@ func TestResultCommFourNodes(t *testing.T) {
 	}
 	if !r.CorrespondenceOK {
 		t.Fatal("correspondence violated")
+	}
+}
+
+// TestResultCommUnmappedRegion: a PRIVB naming an address outside the
+// page table has no owner to delegate the region to. The run ends with
+// an error naming the node and the address, the same one at any
+// ParallelNodes, instead of panicking in the page table.
+func TestResultCommUnmappedRegion(t *testing.T) {
+	p, err := asm.Assemble("rc-unmapped", `
+        .text
+        li   r1, 0x7000000
+        privb 0(r1)
+        addi r2, r2, 1
+        prive
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := mem.Partition{NumNodes: 2, BlockPages: 1, ReplicateText: true}.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "core: node 0: private region at unmapped address 0x7000000"
+	for _, workers := range []int{1, 2} {
+		cfg := DefaultConfig(2)
+		cfg.ResultComm = true
+		cfg.ParallelNodes = workers
+		m, err := NewMachine(cfg, p, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = m.Run()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("ParallelNodes=%d: Run error = %v, want %q", workers, err, want)
+		}
 	}
 }

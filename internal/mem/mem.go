@@ -45,6 +45,10 @@ type Entry struct {
 	Owner int // owning node for communicated pages; -1 for replicated
 }
 
+// Owns reports whether node holds the page in its local memory: every
+// node holds a replicated page, only its owner a communicated one.
+func (e Entry) Owns(node int) bool { return e.Kind == Replicated || e.Owner == node }
+
 // PageTable maps page numbers to entries. All nodes share one page table
 // (they would be identical by construction in hardware).
 type PageTable struct {
@@ -84,13 +88,22 @@ func (pt *PageTable) Lookup(addr uint64) (Entry, bool) {
 
 // MustLookup is Lookup for addresses the caller knows are mapped; it
 // panics on unmapped pages, which indicates a harness bug (the footprint
-// declared by the program did not cover an address it touched).
+// declared by the program did not cover an address it touched). Paths a
+// guest program drives use Lookup and UnmappedError instead.
 func (pt *PageTable) MustLookup(addr uint64) Entry {
 	e, ok := pt.Lookup(addr)
 	if !ok {
 		panic(fmt.Sprintf("mem: unmapped address 0x%x (page %d)", addr, prog.PageOf(addr)))
 	}
 	return e
+}
+
+// UnmappedError is the error a machine returns when the guest program's
+// access (op: "load", "store", ...) of addr falls outside every mapped
+// page. The program is user input, so this ends the run with an error
+// rather than a panic.
+func UnmappedError(op string, addr uint64) error {
+	return fmt.Errorf("%s at unmapped address 0x%x (page %d)", op, addr, prog.PageOf(addr))
 }
 
 // IsReplicated reports whether addr lies in a replicated page.
@@ -107,8 +120,7 @@ func (pt *PageTable) OwnerOf(addr uint64) int {
 // node holds them) and for communicated pages owned by node. This is the
 // predicate that decides whether a load completes locally.
 func (pt *PageTable) Owns(addr uint64, node int) bool {
-	e := pt.MustLookup(addr)
-	return e.Kind == Replicated || e.Owner == node
+	return pt.MustLookup(addr).Owns(node)
 }
 
 // Clone returns a deep copy of the table. The fault layer clones the

@@ -35,9 +35,6 @@ func (s *EmuSource) Next() (emu.Dyn, bool, error) {
 	return d, true, nil
 }
 
-// Machine returns the wrapped emulator.
-func (s *EmuSource) Machine() *emu.Machine { return s.m }
-
 // SliceSource replays a pre-recorded dynamic stream; tests use it to
 // drive the core with hand-built schedules.
 type SliceSource struct {

@@ -169,6 +169,9 @@ type Machine struct {
 	attached map[ooo.LoadToken]bool
 	now      uint64
 	stats    Stats
+	// unmapped is the first guest access outside the page table
+	// (sticky). Run returns it after the cycle that made it.
+	unmapped error
 }
 
 var (
@@ -228,9 +231,17 @@ func newNet(cfg Config) bus.Network {
 	return cfg.Topology.Build(cfg.Chips)
 }
 
-// homeChip returns the chip holding addr's page.
-func (m *Machine) homeChip(addr uint64) int {
-	e := m.pt.MustLookup(addr)
+// homeChip returns the chip holding addr's page. The first access (op)
+// outside the page table is kept for Run to return after this cycle;
+// until then the access is served on-chip.
+func (m *Machine) homeChip(op string, addr uint64) int {
+	e, ok := m.pt.Lookup(addr)
+	if !ok {
+		if m.unmapped == nil {
+			m.unmapped = mem.UnmappedError(op, addr)
+		}
+		return cpuChip
+	}
 	if e.Kind == mem.Replicated {
 		return cpuChip
 	}
@@ -261,7 +272,7 @@ func (m *Machine) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int
 	m.outstanding[line] = e
 	m.attached[tok] = true
 
-	home := m.homeChip(addr)
+	home := m.homeChip("load", addr)
 	if home == cpuChip {
 		m.stats.OnChipMisses.Inc()
 		e.local = true
@@ -354,7 +365,7 @@ func (m *Machine) CommitStore(now uint64, addr uint64, size int) {
 		return
 	}
 	// Write-no-allocate: the store goes to its home memory.
-	home := m.homeChip(addr)
+	home := m.homeChip("store", addr)
 	if home == cpuChip {
 		m.stats.StoresOn.Inc()
 		m.dram[cpuChip].Access(now, m.l1.LineAddr(addr))
@@ -372,7 +383,7 @@ func (m *Machine) CommitStore(now uint64, addr uint64, size int) {
 }
 
 func (m *Machine) disposeWriteback(now uint64, lineAddr uint64) {
-	home := m.homeChip(lineAddr)
+	home := m.homeChip("writeback", lineAddr)
 	if home == cpuChip {
 		m.stats.WritebacksOn.Inc()
 		m.dram[cpuChip].Access(now, lineAddr)
@@ -453,6 +464,9 @@ func (m *Machine) Run() (Result, error) {
 		m.core.Cycle(m.now)
 		if err := m.core.Err(); err != nil {
 			return Result{}, err
+		}
+		if m.unmapped != nil {
+			return Result{}, fmt.Errorf("traditional: chip %d: %w", cpuChip, m.unmapped)
 		}
 		if c := m.core.Committed(); c != lastCommitted {
 			lastCommitted = c

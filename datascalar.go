@@ -431,8 +431,10 @@ func CompareCPIProfiles(old, cur CPIProfileResult, o CPIDiffOptions) (CPIDiffRes
 	return sim.CompareCPIProfiles(old, cur, o)
 }
 
-// Topology selects and parameterizes the interconnect; set it on
-// Config.Topology or TraditionalConfig.Topology.
+// Topology selects the interconnect family and its one link parameter
+// set (Topology.Bus: width, clock divisor and per-hop latency), which
+// every family reads; set it on Config.Topology or
+// TraditionalConfig.Topology.
 type Topology = bus.Topology
 
 // TopologyKind enumerates the interconnect families.
@@ -446,18 +448,14 @@ const (
 	TopoTorus = bus.TopoTorus
 )
 
-// DefaultTopology returns the paper's shared-bus interconnect with
-// default link parameters for the multi-hop alternatives.
+// DefaultTopology returns the paper's shared-bus interconnect at its
+// default link parameters; changing Kind alone moves the machine onto
+// ring, mesh or torus links of the same width and clock.
 func DefaultTopology() Topology { return bus.DefaultTopology() }
 
 // ParseTopologyKind parses a -topology flag value ("bus", "ring",
 // "mesh", "torus").
 func ParseTopologyKind(s string) (TopologyKind, error) { return bus.ParseTopologyKind(s) }
-
-// LinkConfig parameterizes the per-link datapath of the multi-hop
-// topologies (ring, mesh, torus); set it on Config.Topology.Link.
-// DefaultTopology().Link holds links matching the default bus.
-type LinkConfig = bus.LinkConfig
 
 // ---------------------------------------------------------------------------
 // Resilience: deterministic fault injection, divergence detection, and

@@ -32,7 +32,7 @@ func TestBusTickZeroAllocs(t *testing.T) {
 // buffers across cycles; after a warmup drain that grows them to their
 // high-water marks, per-cycle ticking must be allocation-free.
 func TestRingTickZeroAllocs(t *testing.T) {
-	r := NewRing(DefaultLinkConfig(), 4)
+	r := NewRing(DefaultConfig(), 4)
 	enqueue := func(base uint64) {
 		for i := 0; i < 64; i++ {
 			r.Enqueue(Message{
@@ -65,9 +65,9 @@ func TestMeshTickZeroAllocs(t *testing.T) {
 	for _, wrap := range []bool{false, true} {
 		var ms *Mesh
 		if wrap {
-			ms = NewTorus(DefaultLinkConfig(), 9)
+			ms = NewTorus(DefaultConfig(), 9)
 		} else {
-			ms = NewMesh(DefaultLinkConfig(), 9)
+			ms = NewMesh(DefaultConfig(), 9)
 		}
 		enqueue := func(base uint64) {
 			for i := 0; i < 64; i++ {

@@ -109,14 +109,19 @@ type Message struct {
 // WireBytes is the total size on the wire.
 func (m Message) WireBytes() int { return HeaderBytes + m.PayloadBytes }
 
-// Config describes the bus.
+// Config parameterizes every link of the interconnect: the shared bus
+// itself, or each point-to-point link of the ring, mesh and torus.
 type Config struct {
 	// WidthBytes is the datapath width (the paper's global bus is 8
 	// bytes wide).
 	WidthBytes int
-	// ClockDivisor is CPU cycles per bus cycle (a 100 MHz bus under a
-	// 1 GHz core has divisor 10).
+	// ClockDivisor is CPU cycles per bus or link cycle (a 100 MHz bus
+	// under a 1 GHz core has divisor 10).
 	ClockDivisor uint64
+	// HopCycles is the per-hop router latency the ring, mesh and torus
+	// add to every link transfer. A bus transfer crosses no router, so
+	// the bus ignores it.
+	HopCycles uint64
 }
 
 // Validate checks structural soundness.
@@ -131,11 +136,13 @@ func (c Config) Validate() error {
 }
 
 // DefaultConfig returns the paper's global-bus parameters: 8 bytes wide at
-// half the core clock (the paper's target is a high-integration module where the global bus runs near core speed; the sensitivity analysis sweeps the divisor).
-func DefaultConfig() Config { return Config{WidthBytes: 8, ClockDivisor: 2} }
+// half the core clock (the paper's target is a high-integration module
+// where the global bus runs near core speed; the sensitivity analysis
+// sweeps the divisor), with a one-cycle hop latency on multi-hop links.
+func DefaultConfig() Config { return Config{WidthBytes: 8, ClockDivisor: 2, HopCycles: 1} }
 
 // TransferCycles returns the bus occupancy in CPU cycles for a message of
-// the given wire size.
+// the given wire size (a multi-hop link adds HopCycles).
 func (c Config) TransferCycles(wireBytes int) uint64 {
 	beats := (wireBytes + c.WidthBytes - 1) / c.WidthBytes
 	if beats == 0 {
@@ -156,8 +163,8 @@ type Stats struct {
 	TotalQueued stats.Counter // messages ever enqueued
 }
 
-// Bus is the interconnect instance. Drive it cycle by cycle: enqueue
-// messages at any time, then call Tick once per CPU cycle; deliveries
+// Bus is the shared-bus Network. Drive it cycle by cycle: enqueue
+// messages at any time, then call Tick once per CPU cycle; arrivals
 // come back from Tick at transfer completion.
 type Bus struct {
 	cfg     Config
@@ -168,7 +175,7 @@ type Bus struct {
 	current Message
 	stats   Stats
 	obs     obs.Observer
-	// arrivals is the scratch buffer TickArrivals returns; reused so the
+	// arrivals is the scratch buffer Tick returns; reused so the
 	// per-cycle delivery path is allocation-free in steady state.
 	arrivals []Arrival
 }
@@ -188,12 +195,6 @@ func New(cfg Config, numNodes int) *Bus {
 	}
 	return &Bus{cfg: cfg, queues: make([][]Message, numNodes)}
 }
-
-// Config returns the bus configuration.
-func (b *Bus) Config() Config { return b.cfg }
-
-// Stats returns the bus counters.
-func (b *Bus) Stats() *Stats { return &b.stats }
 
 // Enqueue submits a message from its source chip's network interface.
 func (b *Bus) Enqueue(m Message) {
@@ -249,15 +250,41 @@ func (b *Bus) PurgeSource(src int) int {
 	return n
 }
 
-// Tick advances the bus to CPU cycle now. It returns the message whose
-// transfer completed this cycle, if any. Call with strictly increasing
-// cycle numbers.
+// Tick implements Network: it advances the bus to CPU cycle now
+// (strictly increasing) and returns the arrivals of the transfer that
+// completed this cycle, if any. A broadcast arrives at every node but
+// the sender in the same cycle (every bus transaction is an implicit
+// broadcast); a point-to-point message arrives at its destination. The
+// returned slice is only valid until the next call.
 //
 // Tick runs once per machine cycle; the steady-state machine loop is
 // allocation-free (TestMachineRunSteadyStateAllocs, TestBusTickZeroAllocs).
 //
 //dsvet:hotpath
-func (b *Bus) Tick(now uint64) (Message, bool) {
+func (b *Bus) Tick(now uint64) []Arrival {
+	msg, ok := b.step(now)
+	if !ok {
+		return nil
+	}
+	out := b.arrivals[:0]
+	if msg.Kind == Broadcast {
+		for n := range b.queues {
+			if n != msg.Src {
+				out = append(out, Arrival{Node: n, Msg: msg})
+			}
+		}
+	} else {
+		out = append(out, Arrival{Node: msg.Dst, Msg: msg})
+	}
+	b.arrivals = out
+	return out
+}
+
+// step advances the bus to cycle now and returns the message whose
+// transfer completed this cycle, if any.
+//
+//dsvet:hotpath
+func (b *Bus) step(now uint64) (Message, bool) {
 	var delivered Message
 	var ok bool
 	if b.busy && now >= b.doneAt {
@@ -336,18 +363,4 @@ func (b *Bus) arbitrate(now uint64) {
 		}
 		return
 	}
-}
-
-// Drain advances the bus until all queued messages are delivered,
-// returning them in delivery order along with the cycle the last delivery
-// completed. Used by tests and end-of-run cleanup.
-func (b *Bus) Drain(now uint64) ([]Message, uint64) {
-	var out []Message
-	for b.Pending() > 0 {
-		if m, ok := b.Tick(now); ok {
-			out = append(out, m)
-		}
-		now++
-	}
-	return out, now
 }

@@ -5,6 +5,18 @@ import (
 	"testing/quick"
 )
 
+// drain steps the bus from cycle 0 until every queued message is
+// delivered, returning them in delivery order.
+func drain(b *Bus) []Message {
+	var out []Message
+	for now := uint64(0); b.Pending() > 0; now++ {
+		if m, ok := b.step(now); ok {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 func TestTransferCycles(t *testing.T) {
 	c := Config{WidthBytes: 8, ClockDivisor: 10}
 	cases := []struct {
@@ -50,7 +62,7 @@ func TestSingleTransfer(t *testing.T) {
 
 	// Before ReadyAt nothing happens.
 	for now := uint64(0); now < 5; now++ {
-		if _, ok := b.Tick(now); ok {
+		if _, ok := b.step(now); ok {
 			t.Fatalf("delivery before ReadyAt at cycle %d", now)
 		}
 	}
@@ -59,7 +71,7 @@ func TestSingleTransfer(t *testing.T) {
 	var ok bool
 	var when uint64
 	for now := uint64(5); now <= 20 && !ok; now++ {
-		got, ok = b.Tick(now)
+		got, ok = b.step(now)
 		when = now
 	}
 	if !ok {
@@ -87,7 +99,7 @@ func TestRoundRobinFairness(t *testing.T) {
 	var order []int
 	now := uint64(0)
 	for b.Pending() > 0 {
-		if m, ok := b.Tick(now); ok {
+		if m, ok := b.step(now); ok {
 			order = append(order, m.Src)
 		}
 		now++
@@ -108,7 +120,7 @@ func TestPerSourceFIFO(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Enqueue(Message{Kind: Broadcast, Src: 0, Seq: uint64(i), PayloadBytes: 32})
 	}
-	msgs, _ := b.Drain(0)
+	msgs := drain(b)
 	for i, m := range msgs {
 		if m.Seq != uint64(i) {
 			t.Fatalf("per-source order violated: %v", msgs)
@@ -120,8 +132,8 @@ func TestStats(t *testing.T) {
 	b := New(Config{WidthBytes: 8, ClockDivisor: 1}, 2)
 	b.Enqueue(Message{Kind: Broadcast, Src: 0, PayloadBytes: 32})
 	b.Enqueue(Message{Kind: Request, Src: 1})
-	b.Drain(0)
-	s := b.Stats()
+	drain(b)
+	s := b.NetStats()
 	if s.Messages.Value() != 2 {
 		t.Fatalf("messages = %d", s.Messages.Value())
 	}
@@ -143,9 +155,9 @@ func TestArbWaitAccounting(t *testing.T) {
 	b := New(Config{WidthBytes: 8, ClockDivisor: 10}, 2)
 	b.Enqueue(Message{Kind: Broadcast, Src: 0, PayloadBytes: 32})
 	b.Enqueue(Message{Kind: Broadcast, Src: 1, PayloadBytes: 32})
-	b.Drain(0)
-	if b.Stats().ArbWaits.Value() != 1 {
-		t.Fatalf("arb waits = %d, want 1 (second message waited)", b.Stats().ArbWaits.Value())
+	drain(b)
+	if b.NetStats().ArbWaits.Value() != 1 {
+		t.Fatalf("arb waits = %d, want 1 (second message waited)", b.NetStats().ArbWaits.Value())
 	}
 }
 
@@ -188,7 +200,7 @@ func TestBusConservationQuick(t *testing.T) {
 				Seq:          uint64(i),
 			})
 		}
-		msgs, _ := b.Drain(0)
+		msgs := drain(b)
 		if len(msgs) != len(specs) {
 			return false
 		}
@@ -215,7 +227,7 @@ func TestDeliveryLowerBoundQuick(t *testing.T) {
 		b.Enqueue(m)
 		now := uint64(0)
 		for {
-			if got, ok := b.Tick(now); ok {
+			if got, ok := b.step(now); ok {
 				return now >= m.ReadyAt+cfg.TransferCycles(got.WireBytes())
 			}
 			now++

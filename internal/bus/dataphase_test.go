@@ -79,7 +79,7 @@ func TestBusDataPhaseBlockedVsQueued(t *testing.T) {
 }
 
 func TestRingDataPhase(t *testing.T) {
-	r := NewRing(DefaultLinkConfig(), 4)
+	r := NewRing(DefaultConfig(), 4)
 	if p := r.DataPhase(0x100, 2, 0); p != PhaseAbsent {
 		t.Fatalf("empty ring: phase = %v, want absent", p)
 	}
@@ -115,7 +115,7 @@ func TestDataPhaseZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Bus.DataPhase allocated %.2f times per call", allocs)
 	}
-	r := NewRing(DefaultLinkConfig(), 4)
+	r := NewRing(DefaultConfig(), 4)
 	r.Enqueue(Message{Kind: Broadcast, Src: 0, Addr: 0x100, PayloadBytes: 32, ReadyAt: 0})
 	r.Tick(0)
 	if allocs := testing.AllocsPerRun(1000, func() {
@@ -130,7 +130,7 @@ func TestDataPhaseZeroAllocs(t *testing.T) {
 // wire are transfers, and a tree waiting out another message's link
 // occupancy is blocked.
 func TestMeshDataPhase(t *testing.T) {
-	ms := NewMesh(DefaultLinkConfig(), 9)
+	ms := NewMesh(DefaultConfig(), 9)
 	if p := ms.DataPhase(0x100, 8, 0); p != PhaseAbsent {
 		t.Fatalf("empty mesh: phase = %v, want absent", p)
 	}
@@ -165,9 +165,9 @@ func TestMeshDataPhaseStableUnderSkip(t *testing.T) {
 	build := func(wrap bool) *Mesh {
 		var ms *Mesh
 		if wrap {
-			ms = NewTorus(DefaultLinkConfig(), 9)
+			ms = NewTorus(DefaultConfig(), 9)
 		} else {
-			ms = NewMesh(DefaultLinkConfig(), 9)
+			ms = NewMesh(DefaultConfig(), 9)
 		}
 		// Overlapping trees from the same corner create link contention;
 		// staggered ReadyAt exercises the queued phase.

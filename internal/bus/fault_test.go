@@ -21,7 +21,7 @@ func TestBusPurgeSource(t *testing.T) {
 	// Drain: the in-flight 0x100 and node 1's 0x400 still deliver.
 	var addrs []uint64
 	for now := uint64(1); now < 100 && b.Pending() > 0; now++ {
-		if m, ok := b.Tick(now); ok {
+		if m, ok := b.step(now); ok {
 			addrs = append(addrs, m.Addr)
 		}
 	}
@@ -34,7 +34,7 @@ func TestBusPurgeSource(t *testing.T) {
 // PurgeSource on a ring removes messages that have not started their
 // first hop; travelling messages keep circulating to completion.
 func TestRingPurgeSource(t *testing.T) {
-	r := NewRing(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 1}, 3)
+	r := NewRing(Config{WidthBytes: 8, ClockDivisor: 1, HopCycles: 1}, 3)
 	r.Enqueue(Message{Kind: Broadcast, Src: 0, Addr: 0x100, PayloadBytes: 8})
 	r.Tick(0) // first hop starts: 0x100 is travelling
 	r.Enqueue(Message{Kind: Broadcast, Src: 0, Addr: 0x200, PayloadBytes: 8, ReadyAt: 50})
@@ -75,9 +75,9 @@ func TestMeshPurgeSource(t *testing.T) {
 	for _, wrap := range []bool{false, true} {
 		var ms *Mesh
 		if wrap {
-			ms = NewTorus(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 1}, 9)
+			ms = NewTorus(Config{WidthBytes: 8, ClockDivisor: 1, HopCycles: 1}, 9)
 		} else {
-			ms = NewMesh(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 1}, 9)
+			ms = NewMesh(Config{WidthBytes: 8, ClockDivisor: 1, HopCycles: 1}, 9)
 		}
 		ms.Enqueue(Message{Kind: Broadcast, Src: 4, Addr: 0x100, PayloadBytes: 8})
 		ms.Tick(0) // first hops start: 0x100 is travelling

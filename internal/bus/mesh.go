@@ -79,7 +79,7 @@ type meshBranch struct {
 // hops, and a broadcast laps all N hops, the last one back into its
 // sender, which strips it without delivering it.
 type Mesh struct {
-	cfg  LinkConfig
+	cfg  Config
 	n    int
 	w, h int
 	// wrap distinguishes the torus (true) from the mesh.
@@ -128,14 +128,27 @@ func meshDims(n int) (w, h int) {
 }
 
 // NewMesh builds a 2D mesh of numNodes nodes on the squarest grid that
-// factors numNodes. It panics on invalid configuration
+// factors numNodes; every directed link has cfg's width and clock plus
+// its HopCycles router latency. It panics on invalid configuration
 // (experiment-setup error).
-func NewMesh(cfg LinkConfig, numNodes int) *Mesh { return newMesh(cfg, numNodes, false) }
+func NewMesh(cfg Config, numNodes int) *Mesh { return newMesh(cfg, numNodes, false) }
 
 // NewTorus builds the wraparound variant of NewMesh.
-func NewTorus(cfg LinkConfig, numNodes int) *Mesh { return newMesh(cfg, numNodes, true) }
+func NewTorus(cfg Config, numNodes int) *Mesh { return newMesh(cfg, numNodes, true) }
 
-func newMesh(cfg LinkConfig, numNodes int, wrap bool) *Mesh {
+// NewRing builds the paper's unidirectional ring of numNodes nodes: the
+// one-way 1×N torus. Each link carries one message at a time, so unlike
+// the bus separate links carry different messages concurrently and
+// aggregate bandwidth scales with node count — the reason the paper
+// prefers rings for larger systems — at the cost of multi-hop broadcast
+// latency.
+func NewRing(cfg Config, numNodes int) *Mesh {
+	ms := newMesh(cfg, numNodes, true)
+	ms.w, ms.h, ms.oneWay = numNodes, 1, true
+	return ms
+}
+
+func newMesh(cfg Config, numNodes int, wrap bool) *Mesh {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -375,7 +388,7 @@ func (ms *Mesh) NextDeliveryCycle(now uint64) uint64 {
 // occupancy its branches impose on older traffic, is at least that far
 // past its ReadyAt.
 func (ms *Mesh) Lookahead() uint64 {
-	la := ms.cfg.transferCycles(HeaderBytes)
+	la := ms.cfg.TransferCycles(HeaderBytes) + ms.cfg.HopCycles
 	if la < 1 {
 		la = 1
 	}
@@ -510,7 +523,7 @@ func (ms *Mesh) Tick(now uint64) []Arrival {
 		// Start the next hop if sitting, ready, and the link is free.
 		if !b.inFlight && b.readyAt <= now {
 			if link := b.at*numDirs + int(b.dir); ms.linkFree[link] <= now {
-				occ := ms.cfg.transferCycles(b.m.msg.WireBytes())
+				occ := ms.cfg.TransferCycles(b.m.msg.WireBytes()) + ms.cfg.HopCycles
 				ms.linkFree[link] = now + occ
 				ms.stats.BusyCycles.Add(occ)
 				if !b.m.injected {

@@ -33,7 +33,7 @@ func TestMeshDims(t *testing.T) {
 // 3x3 mesh: every node but the sender hears the message exactly once,
 // and arrival time is proportional to hop distance from the center.
 func TestMeshBroadcastTree(t *testing.T) {
-	ms := NewMesh(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 9)
+	ms := NewMesh(Config{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 9)
 	if w, h := ms.Dims(); w != 3 || h != 3 {
 		t.Fatalf("dims = %dx%d", w, h)
 	}
@@ -77,7 +77,7 @@ func TestMeshBroadcastTree(t *testing.T) {
 // TestMeshPointToPointDOR pins dimension-order routing: X first, then
 // Y, delivering only at the destination.
 func TestMeshPointToPointDOR(t *testing.T) {
-	ms := NewMesh(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 9)
+	ms := NewMesh(Config{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 9)
 	ms.Enqueue(Message{Kind: Request, Src: 0, Dst: 8, Addr: 0x40, PayloadBytes: 8})
 	byCycle := runMesh(ms, 100)
 	var arrivals []Arrival
@@ -98,7 +98,7 @@ func TestMeshPointToPointDOR(t *testing.T) {
 // TestTorusWrapsShorterWay: on a 4x4 torus, 0 -> 3 goes one hop -X
 // around the seam instead of three hops +X.
 func TestTorusWrapsShorterWay(t *testing.T) {
-	cfg := LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}
+	cfg := Config{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}
 	tor := NewTorus(cfg, 16)
 	tor.Enqueue(Message{Kind: Request, Src: 0, Dst: 3, Addr: 0x40, PayloadBytes: 8})
 	tByCycle := runMesh(tor, 100)
@@ -128,7 +128,7 @@ func TestTorusWrapsShorterWay(t *testing.T) {
 // only halfway around, so the worst-case depth is (W+H)/2 hops instead
 // of W+H-2.
 func TestTorusBroadcastHalvesSpan(t *testing.T) {
-	cfg := LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}
+	cfg := Config{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}
 	for _, tc := range []struct {
 		name  string
 		build func() *Mesh
@@ -165,7 +165,7 @@ func TestTorusBroadcastHalvesSpan(t *testing.T) {
 func TestMeshLinksCarryConcurrently(t *testing.T) {
 	// Disjoint links must not serialize: on a 2x2 mesh, 0->1 uses node
 	// 0's +X link and 2->3 uses node 2's +X link.
-	cfg := LinkConfig{WidthBytes: 8, ClockDivisor: 4, HopCycles: 0}
+	cfg := Config{WidthBytes: 8, ClockDivisor: 4, HopCycles: 0}
 	ms := NewMesh(cfg, 4)
 	ms.Enqueue(Message{Kind: Request, Src: 0, Dst: 1})
 	ms.Enqueue(Message{Kind: Request, Src: 2, Dst: 3})
@@ -200,7 +200,7 @@ func TestMeshLinksCarryConcurrently(t *testing.T) {
 }
 
 func TestMeshHonorsReadyAt(t *testing.T) {
-	ms := NewMesh(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 4)
+	ms := NewMesh(Config{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 4)
 	ms.Enqueue(Message{Kind: Broadcast, Src: 0, ReadyAt: 50})
 	byCycle := runMesh(ms, 200)
 	for cyc := range byCycle {
@@ -222,11 +222,11 @@ func TestMeshValidation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("bad nodes", func() { NewMesh(DefaultLinkConfig(), 0) })
-	mustPanic("bad config", func() { NewMesh(LinkConfig{}, 4) })
-	mustPanic("bad src", func() { NewMesh(DefaultLinkConfig(), 4).Enqueue(Message{Src: 9}) })
+	mustPanic("bad nodes", func() { NewMesh(DefaultConfig(), 0) })
+	mustPanic("bad config", func() { NewMesh(Config{}, 4) })
+	mustPanic("bad src", func() { NewMesh(DefaultConfig(), 4).Enqueue(Message{Src: 9}) })
 	mustPanic("self-send", func() {
-		NewMesh(DefaultLinkConfig(), 4).Enqueue(Message{Kind: Request, Src: 1, Dst: 1})
+		NewMesh(DefaultConfig(), 4).Enqueue(Message{Kind: Request, Src: 1, Dst: 1})
 	})
 }
 
@@ -234,7 +234,7 @@ func TestMeshValidation(t *testing.T) {
 // messages, not tree branches, so the machine's drain checks and the
 // fault layer's diagnostics mean the same thing on every topology.
 func TestMeshPendingCountsMessages(t *testing.T) {
-	ms := NewMesh(DefaultLinkConfig(), 9)
+	ms := NewMesh(DefaultConfig(), 9)
 	ms.Enqueue(Message{Kind: Broadcast, Src: 4, Addr: 0x100, PayloadBytes: 8})
 	ms.Enqueue(Message{Kind: Broadcast, Src: 4, Addr: 0x200, PayloadBytes: 8})
 	ms.Enqueue(Message{Kind: Request, Src: 0, Dst: 8, Addr: 0x300})
@@ -268,7 +268,7 @@ func TestMeshConservationQuick(t *testing.T) {
 		}
 		sizes := []int{2, 4, 6, 9, 12, 16}
 		n := sizes[int(nSel)%len(sizes)]
-		cfg := LinkConfig{WidthBytes: 4, ClockDivisor: 2, HopCycles: 1}
+		cfg := Config{WidthBytes: 4, ClockDivisor: 2, HopCycles: 1}
 		var ms *Mesh
 		if wrapSel%2 == 0 {
 			ms = NewMesh(cfg, n)
@@ -316,9 +316,9 @@ func TestMeshNextDeliveryCertifiesNoOps(t *testing.T) {
 	for _, wrap := range []bool{false, true} {
 		var ms *Mesh
 		if wrap {
-			ms = NewTorus(DefaultLinkConfig(), 9)
+			ms = NewTorus(DefaultConfig(), 9)
 		} else {
-			ms = NewMesh(DefaultLinkConfig(), 9)
+			ms = NewMesh(DefaultConfig(), 9)
 		}
 		ms.Enqueue(Message{Kind: Broadcast, Src: 0, Addr: 0x100, PayloadBytes: 32, ReadyAt: 7})
 		ms.Enqueue(Message{Kind: Broadcast, Src: 4, Addr: 0x200, PayloadBytes: 8, ReadyAt: 31})

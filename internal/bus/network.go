@@ -160,35 +160,8 @@ func (b *Bus) DataPhase(addr uint64, dst int, now uint64) MsgPhase {
 	return best
 }
 
-// numNodes returns the node count the bus was built for.
-func (b *Bus) numNodes() int { return len(b.queues) }
-
 // NetStats implements Network.
 func (b *Bus) NetStats() *Stats { return &b.stats }
-
-// TickArrivals implements the Network Tick contract for the bus: a
-// completing broadcast arrives at every node but the sender in the same
-// cycle (every bus transaction is an implicit broadcast); point-to-point
-// messages arrive at their destination. The returned slice is only valid
-// until the next call.
-func (b *Bus) TickArrivals(now uint64) []Arrival {
-	msg, ok := b.Tick(now)
-	if !ok {
-		return nil
-	}
-	out := b.arrivals[:0]
-	if msg.Kind == Broadcast {
-		for n := 0; n < b.numNodes(); n++ {
-			if n != msg.Src {
-				out = append(out, Arrival{Node: n, Msg: msg})
-			}
-		}
-	} else {
-		out = append(out, Arrival{Node: msg.Dst, Msg: msg})
-	}
-	b.arrivals = out
-	return out
-}
 
 // Lookahead implements Network. The cheapest message a bus can carry is
 // header-only, and even that occupies the wire for its full transfer
@@ -209,7 +182,7 @@ func (b *Bus) Lookahead() uint64 {
 // in-flight transfer, reusing queue storage. Stats and observer stay
 // untouched.
 func (b *Bus) CopyStateFrom(src Network) {
-	s := src.(busNetwork).Bus
+	s := src.(*Bus)
 	for i := range b.queues {
 		b.queues[i] = append(b.queues[i][:0], s.queues[i]...)
 	}
@@ -219,16 +192,5 @@ func (b *Bus) CopyStateFrom(src Network) {
 	b.current = s.current
 }
 
-// busNetwork adapts Bus to the Network interface.
-type busNetwork struct{ *Bus }
-
-// NewNetwork builds a bus-backed Network.
-func NewNetwork(cfg Config, numNodes int) Network {
-	return busNetwork{New(cfg, numNodes)}
-}
-
-// Tick implements Network.
-func (b busNetwork) Tick(now uint64) []Arrival { return b.TickArrivals(now) }
-
 // NewScratch implements Network.
-func (b busNetwork) NewScratch() Network { return busNetwork{New(b.cfg, len(b.queues))} }
+func (b *Bus) NewScratch() Network { return New(b.cfg, len(b.queues)) }

@@ -17,7 +17,7 @@ func runRing(r *Mesh, until uint64) map[uint64][]Arrival {
 }
 
 func TestRingBroadcastVisitsEveryNode(t *testing.T) {
-	r := NewRing(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 4)
+	r := NewRing(Config{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 4)
 	r.Enqueue(Message{Kind: Broadcast, Src: 1, Addr: 0x100, PayloadBytes: 8})
 	byCycle := runRing(r, 100)
 
@@ -44,7 +44,7 @@ func TestRingBroadcastVisitsEveryNode(t *testing.T) {
 }
 
 func TestRingPointToPointStopsAtDst(t *testing.T) {
-	r := NewRing(DefaultLinkConfig(), 4)
+	r := NewRing(DefaultConfig(), 4)
 	r.Enqueue(Message{Kind: Request, Src: 0, Dst: 2, Addr: 0x40})
 	byCycle := runRing(r, 200)
 	var arrivals []Arrival
@@ -62,7 +62,7 @@ func TestRingPointToPointStopsAtDst(t *testing.T) {
 // is shorter, and a broadcast laps the whole ring, its last hop back
 // into the sender, which strips it without delivering it.
 func TestRingOneWayTiming(t *testing.T) {
-	cfg := LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}
+	cfg := Config{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}
 
 	// A header-only request is one beat per hop: 0→1→2→3, where a torus
 	// would take the single hop 0→3 backwards.
@@ -105,7 +105,7 @@ func TestRingOneWayTiming(t *testing.T) {
 func TestRingLinksCarryConcurrently(t *testing.T) {
 	// Two point-to-point messages on disjoint links must not serialize:
 	// 0->1 and 2->3 use links 0 and 2.
-	cfg := LinkConfig{WidthBytes: 8, ClockDivisor: 4, HopCycles: 0}
+	cfg := Config{WidthBytes: 8, ClockDivisor: 4, HopCycles: 0}
 	r := NewRing(cfg, 4)
 	r.Enqueue(Message{Kind: Request, Src: 0, Dst: 1})
 	r.Enqueue(Message{Kind: Request, Src: 2, Dst: 3})
@@ -140,7 +140,7 @@ func TestRingLinksCarryConcurrently(t *testing.T) {
 }
 
 func TestRingHonorsReadyAt(t *testing.T) {
-	r := NewRing(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 2)
+	r := NewRing(Config{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 2)
 	r.Enqueue(Message{Kind: Broadcast, Src: 0, ReadyAt: 50})
 	byCycle := runRing(r, 200)
 	for cyc := range byCycle {
@@ -154,12 +154,6 @@ func TestRingHonorsReadyAt(t *testing.T) {
 }
 
 func TestRingValidation(t *testing.T) {
-	if err := (LinkConfig{WidthBytes: 0, ClockDivisor: 1}).Validate(); err == nil {
-		t.Error("zero width accepted")
-	}
-	if err := (LinkConfig{WidthBytes: 8, ClockDivisor: 0}).Validate(); err == nil {
-		t.Error("zero divisor accepted")
-	}
 	mustPanic := func(name string, f func()) {
 		defer func() {
 			if recover() == nil {
@@ -168,8 +162,9 @@ func TestRingValidation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("bad nodes", func() { NewRing(DefaultLinkConfig(), 0) })
-	mustPanic("bad src", func() { NewRing(DefaultLinkConfig(), 2).Enqueue(Message{Src: 9}) })
+	mustPanic("bad nodes", func() { NewRing(DefaultConfig(), 0) })
+	mustPanic("bad config", func() { NewRing(Config{WidthBytes: 8}, 2) })
+	mustPanic("bad src", func() { NewRing(DefaultConfig(), 2).Enqueue(Message{Src: 9}) })
 }
 
 // Property: every broadcast is delivered to exactly n-1 nodes and the
@@ -180,7 +175,7 @@ func TestRingConservationQuick(t *testing.T) {
 			srcs = srcs[:24]
 		}
 		const n = 5
-		r := NewRing(LinkConfig{WidthBytes: 4, ClockDivisor: 2, HopCycles: 1}, n)
+		r := NewRing(Config{WidthBytes: 4, ClockDivisor: 2, HopCycles: 1}, n)
 		for i, s := range srcs {
 			r.Enqueue(Message{
 				Kind:         Broadcast,
@@ -211,7 +206,7 @@ func TestRingConservationQuick(t *testing.T) {
 }
 
 func TestBusNetworkAdapter(t *testing.T) {
-	net := NewNetwork(Config{WidthBytes: 8, ClockDivisor: 1}, 3)
+	var net Network = New(Config{WidthBytes: 8, ClockDivisor: 1}, 3)
 	net.Enqueue(Message{Kind: Broadcast, Src: 0, PayloadBytes: 8})
 	net.Enqueue(Message{Kind: Request, Src: 1, Dst: 2})
 	var arrivals []Arrival

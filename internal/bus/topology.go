@@ -60,33 +60,29 @@ func ParseTopologyKind(s string) (TopologyKind, error) {
 }
 
 // Topology is the interconnect configuration of a machine: which family
-// to build plus the family's parameters. Both parameter sets stay
-// populated with defaults so switching Kind is a one-field change; only
-// the set the Kind selects affects the build.
+// to build plus the one link parameter set every family reads, so
+// switching Kind is a one-field change and a sweep of Bus reaches
+// whatever family the machine is built on.
 type Topology struct {
 	// Kind selects the interconnect family.
 	Kind TopologyKind
-	// Bus parameterizes TopoBus.
+	// Bus parameterizes the shared bus, or each link of the ring, mesh
+	// and torus: width, clock, and the per-hop router latency only the
+	// multi-hop kinds add.
 	Bus Config
-	// Link parameterizes the point-to-point kinds (ring, mesh, torus):
-	// per-link width, link clock, and per-hop forwarding latency.
-	Link LinkConfig
 }
 
-// DefaultTopology returns the paper's baseline: the shared bus, with
-// ring/mesh link parameters defaulted so flipping Kind needs no other
-// edits.
+// DefaultTopology returns the paper's baseline: the shared bus at its
+// default parameters.
 func DefaultTopology() Topology {
-	return Topology{Kind: TopoBus, Bus: DefaultConfig(), Link: DefaultLinkConfig()}
+	return Topology{Kind: TopoBus, Bus: DefaultConfig()}
 }
 
-// Validate checks the parameters of the selected kind.
+// Validate checks the kind and the link parameters.
 func (t Topology) Validate() error {
 	switch t.Kind {
-	case TopoBus:
+	case TopoBus, TopoRing, TopoMesh, TopoTorus:
 		return t.Bus.Validate()
-	case TopoRing, TopoMesh, TopoTorus:
-		return t.Link.Validate()
 	default:
 		return fmt.Errorf("bus: unknown topology kind %d", uint8(t.Kind))
 	}
@@ -110,17 +106,17 @@ func (k TopologyKind) Links(numNodes int) int {
 }
 
 // Build constructs the Network for numNodes nodes. It panics on invalid
-// configuration (experiment-setup error), matching New and NewRing.
+// configuration (experiment-setup error), matching New and NewMesh.
 func (t Topology) Build(numNodes int) Network {
 	switch t.Kind {
 	case TopoBus:
-		return NewNetwork(t.Bus, numNodes)
+		return New(t.Bus, numNodes)
 	case TopoRing:
-		return NewRing(t.Link, numNodes)
+		return NewRing(t.Bus, numNodes)
 	case TopoMesh:
-		return NewMesh(t.Link, numNodes)
+		return NewMesh(t.Bus, numNodes)
 	case TopoTorus:
-		return NewTorus(t.Link, numNodes)
+		return NewTorus(t.Bus, numNodes)
 	default:
 		panic(fmt.Sprintf("bus: unknown topology kind %d", uint8(t.Kind)))
 	}

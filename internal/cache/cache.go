@@ -97,7 +97,6 @@ type Stats struct {
 	StoreMisses stats.Counter
 	Writebacks  stats.Counter
 	Fills       stats.Counter
-	Invalidates stats.Counter
 }
 
 // Accesses returns the total access count.
@@ -108,11 +107,6 @@ func (s *Stats) Accesses() uint64 {
 // Misses returns the total miss count.
 func (s *Stats) Misses() uint64 {
 	return s.LoadMisses.Value() + s.StoreMisses.Value()
-}
-
-// MissRate returns misses/accesses.
-func (s *Stats) MissRate() float64 {
-	return stats.Ratio{Part: s.Misses(), Whole: s.Accesses()}.Value()
 }
 
 type way struct {
@@ -320,23 +314,6 @@ func (c *Cache) fillLocked(addr uint64, dirty bool) Result {
 	c.stats.Fills.Inc()
 	c.obsEvent(obs.EvCacheFill, c.LineAddr(addr), 0)
 	return res
-}
-
-// Invalidate removes addr's line if present, reporting whether it was
-// present and whether it was dirty.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set := c.sets[c.setIndex(addr)]
-	tag := c.tagOf(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			present, dirty = true, set[i].dirty
-			set[i] = way{}
-			c.stats.Invalidates.Inc()
-			c.obsEvent(obs.EvCacheInvalidate, c.LineAddr(addr), 0)
-			return present, dirty
-		}
-	}
-	return false, false
 }
 
 // FlushDirty returns the line addresses of all dirty lines and cleans

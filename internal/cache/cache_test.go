@@ -59,9 +59,6 @@ func TestBasicHitMiss(t *testing.T) {
 	if s.LoadHits.Value() != 2 || s.LoadMisses.Value() != 1 {
 		t.Fatalf("stats: hits=%d misses=%d", s.LoadHits.Value(), s.LoadMisses.Value())
 	}
-	if s.MissRate() != 1.0/3 {
-		t.Fatalf("miss rate = %v", s.MissRate())
-	}
 }
 
 func TestDirectMappedConflict(t *testing.T) {
@@ -165,22 +162,6 @@ func TestTouchAndFill(t *testing.T) {
 	r = c.Fill(0x0100, false) // evicts LRU = 0x0000 (dirty via Touch)
 	if !r.Writeback || r.WritebackAddr != 0 {
 		t.Fatalf("expected writeback of 0x0: %+v", r)
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := smallDM()
-	c.Access(0x0000, true)
-	present, dirty := c.Invalidate(0x0000)
-	if !present || !dirty {
-		t.Fatalf("invalidate = %v, %v", present, dirty)
-	}
-	if c.Probe(0x0000) {
-		t.Fatal("line present after invalidate")
-	}
-	present, _ = c.Invalidate(0x0000)
-	if present {
-		t.Fatal("double invalidate reported present")
 	}
 }
 

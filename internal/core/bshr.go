@@ -394,17 +394,6 @@ func (b *BSHR) WaitingLines() []uint64 {
 	return out
 }
 
-// BufferedLines returns the lines with buffered data (diagnostics).
-func (b *BSHR) BufferedLines() []uint64 {
-	var out []uint64
-	for i := range b.entries {
-		if b.entries[i].hasData {
-			out = append(out, b.entries[i].line)
-		}
-	}
-	return out
-}
-
 // Waiting returns the number of waiting entries (for watchdog
 // diagnostics).
 func (b *BSHR) Waiting() int { return b.numWaiting() }

@@ -258,16 +258,9 @@ func NewMachine(cfg Config, p *prog.Program, pt *mem.PageTable) (*Machine, error
 	// difference between seconds and hours of machine construction.
 	// Cloning is bit-exact, so per-node re-execution would build the
 	// same machine.
-	master, err := emu.New(p)
+	master, err := emu.NewAt(p, cfg.FastForwardPC)
 	if err != nil {
-		return nil, err
-	}
-	if cfg.FastForwardPC != 0 {
-		if _, ok, err := master.RunUntilPC(cfg.FastForwardPC, 200_000_000); err != nil {
-			return nil, fmt.Errorf("core: fast-forward: %w", err)
-		} else if !ok {
-			return nil, fmt.Errorf("core: fast-forward never reached pc 0x%x", cfg.FastForwardPC)
-		}
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	for id := 0; id < cfg.Nodes; id++ {
 		em := master

@@ -69,6 +69,24 @@ func New(p *prog.Program) (*Machine, error) {
 	return m, nil
 }
 
+// NewAt is New followed by a silent fast-forward to pc (0 = start at
+// the entry point): the machine runs until it is about to fetch pc, so
+// timing and trace harnesses start past a kernel's initialization. It
+// fails if the program is invalid, faults on the way, or halts or runs
+// 200M instructions without reaching pc.
+func NewAt(p *prog.Program, pc uint64) (*Machine, error) {
+	m, err := New(p)
+	if err != nil || pc == 0 {
+		return m, err
+	}
+	if _, ok, err := m.RunUntilPC(pc, 200_000_000); err != nil {
+		return nil, fmt.Errorf("fast-forward: %w", err)
+	} else if !ok {
+		return nil, fmt.Errorf("fast-forward never reached pc 0x%x", pc)
+	}
+	return m, nil
+}
+
 // Clone returns an independent deep copy of the machine: registers,
 // PC, counters, and a page-by-page copy of memory, with the immutable
 // program and predecoded text shared. Machines that fast-forward

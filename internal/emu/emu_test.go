@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -569,6 +570,38 @@ func TestImmediateLogicOps(t *testing.T) {
 		if m.Reg(reg) != v {
 			t.Errorf("r%d = 0x%x, want 0x%x", reg, m.Reg(reg), v)
 		}
+	}
+}
+
+func TestNewAt(t *testing.T) {
+	p, err := asm.Assemble("t", `
+        .text
+        li   r1, 3
+loop:   addi r1, r1, -1
+        bne  r1, zero, loop
+done:   halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewAt(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.PC() != p.EntryPC() || m.InstrCount() != 0 {
+		t.Fatalf("NewAt(0) = pc %#x after %d instrs, want the entry point", m.PC(), m.InstrCount())
+	}
+	done := p.Labels["done"]
+	m, err = NewAt(p, done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// li, then three addi/bne pairs.
+	if m.PC() != done || m.InstrCount() != 7 || m.Halted() {
+		t.Fatalf("NewAt(done) = pc %#x after %d instrs", m.PC(), m.InstrCount())
+	}
+	if _, err := NewAt(p, 0xdeadbee8); err == nil || !strings.Contains(err.Error(), "never reached pc 0xdeadbee8") {
+		t.Fatalf("unreachable pc: %v", err)
 	}
 }
 

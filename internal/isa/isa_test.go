@@ -3,7 +3,6 @@ package isa
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestOpMetadataComplete(t *testing.T) {
@@ -191,70 +190,6 @@ func TestRegRef(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	ins := []Instr{
-		{Op: OpADD, Rd: 1, Rs1: 2, Rs2: 3},
-		{Op: OpLI, Rd: 5, Imm: -1234567890123},
-		{Op: OpLD, Rd: 7, Rs1: 8, Imm: 4096},
-		{Op: OpBEQ, Rs1: 1, Rs2: 2, Target: 0xdeadbeef},
-		{Op: OpHALT},
-	}
-	blob := EncodeText(ins)
-	got, err := DecodeText(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ins) {
-		t.Fatalf("decoded %d instrs, want %d", len(got), len(ins))
-	}
-	for i := range ins {
-		if got[i] != ins[i] {
-			t.Errorf("instr %d: got %+v want %+v", i, got[i], ins[i])
-		}
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(make([]byte, 3)); err == nil {
-		t.Error("short buffer accepted")
-	}
-	var b [EncodedBytes]byte // op = 0 = invalid
-	if _, err := Decode(b[:]); err == nil {
-		t.Error("invalid op accepted")
-	}
-	if _, err := DecodeText(make([]byte, EncodedBytes+1)); err == nil {
-		t.Error("misaligned text blob accepted")
-	}
-	if err := (Instr{Op: OpNOP}).Encode(make([]byte, 2)); err == nil {
-		t.Error("short encode buffer accepted")
-	}
-}
-
-// Property: any structurally valid instruction round-trips through the
-// binary encoding unchanged.
-func TestEncodeDecodeQuick(t *testing.T) {
-	ops := Ops()
-	f := func(opIdx uint16, rd, rs1, rs2 uint8, imm int64, target uint64) bool {
-		in := Instr{
-			Op:     ops[int(opIdx)%len(ops)],
-			Rd:     rd % NumIntRegs,
-			Rs1:    rs1 % NumIntRegs,
-			Rs2:    rs2 % NumIntRegs,
-			Imm:    imm,
-			Target: target,
-		}
-		var buf [EncodedBytes]byte
-		if err := in.Encode(buf[:]); err != nil {
-			return false
-		}
-		out, err := Decode(buf[:])
-		return err == nil && out == in
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRegionMarkerMetadata(t *testing.T) {
 	in := Instr{Op: OpPRIVB, Rs1: 7, Imm: 32}
 	if got := in.String(); got != "privb 32(r7)" {
@@ -275,15 +210,6 @@ func TestRegionMarkerMetadata(t *testing.T) {
 	}
 	if OpPRIVB.Class() != ClassMisc || OpPRIVE.Class() != ClassMisc {
 		t.Error("marker class wrong")
-	}
-	// Round trip through the binary encoding.
-	var buf [EncodedBytes]byte
-	if err := in.Encode(buf[:]); err != nil {
-		t.Fatal(err)
-	}
-	out, err := Decode(buf[:])
-	if err != nil || out != in {
-		t.Fatalf("round trip: %v %+v", err, out)
 	}
 }
 

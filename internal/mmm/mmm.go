@@ -121,19 +121,6 @@ func (r Result) Slowdown() float64 {
 	return float64(r.Cycles) / float64(r.IdealCycles)
 }
 
-// RoundRobinOwnership distributes words w in [0,n) across p processors in
-// blocks of blockSize, the analogue of the page-distribution policy.
-func RoundRobinOwnership(n uint64, p int, blockSize uint64) map[uint64]int {
-	if blockSize == 0 {
-		blockSize = 1
-	}
-	out := make(map[uint64]int, n)
-	for w := uint64(0); w < n; w++ {
-		out[w] = int(w/blockSize) % p
-	}
-	return out
-}
-
 // Figure1Reference returns the paper's Figure 1 example: words w1..w9
 // (numbered 1-9), with w5, w6, w7 in machine 1 (zero-indexed) and all
 // others in machine 0.

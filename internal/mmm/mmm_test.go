@@ -88,21 +88,6 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func TestRoundRobinOwnership(t *testing.T) {
-	o := RoundRobinOwnership(8, 2, 2)
-	want := []int{0, 0, 1, 1, 0, 0, 1, 1}
-	for w, exp := range want {
-		if o[uint64(w)] != exp {
-			t.Errorf("word %d owner = %d, want %d", w, o[uint64(w)], exp)
-		}
-	}
-	// Zero block size defaults to 1.
-	o = RoundRobinOwnership(4, 2, 0)
-	if o[0] == o[1] {
-		t.Error("block size 0 did not default to per-word distribution")
-	}
-}
-
 // Property: cycles = refs + leadChanges*delay, and timeline is strictly
 // increasing.
 func TestCycleAccountingQuick(t *testing.T) {

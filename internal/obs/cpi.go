@@ -61,8 +61,9 @@ const (
 	// a busy ring link).
 	StallNetContention
 	// StallESPSerial: the data the oldest load needs is on the wire right
-	// now — the unavoidable serialization of the broadcast interconnect
-	// (for the traditional machine: request/response wire occupancy).
+	// now — the unavoidable serialization of the broadcast interconnect.
+	// The traditional machine never charges it: its request/response
+	// wire occupancy is part of the remote round trip.
 	StallESPSerial
 	// StallDead: the node has been killed by the fault layer; every
 	// subsequent machine cycle is charged here.

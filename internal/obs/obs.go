@@ -154,9 +154,6 @@ func (k EventKind) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + k.String() + `"`), nil
 }
 
-// NumEventKinds returns the number of defined event kinds.
-func NumEventKinds() int { return int(numEventKinds) }
-
 // Event is one typed protocol event. It is passed by value everywhere so
 // that emission never allocates.
 type Event struct {

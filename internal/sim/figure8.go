@@ -104,8 +104,9 @@ func Figure8(ctx context.Context, opts Options) (Figure8Result, error) {
 
 // Figure8At runs the Figure 8 sweep with the larger DS/traditional pair
 // at nodes instead of the paper's four, so the sensitivity analysis can
-// be repeated on bigger machines (combine with Options.Topology for
-// mesh/torus sweeps). nodes must be at least 2.
+// be repeated on bigger machines. Combined with Options.Topology it runs
+// on ring, mesh or torus, where the bus-clock and bus-width axes sweep
+// every link. nodes must be at least 2.
 func Figure8At(ctx context.Context, opts Options, nodes int) (Figure8Result, error) {
 	opts = opts.withDefaults()
 	out := Figure8Result{Nodes: nodes}

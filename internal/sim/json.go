@@ -3,7 +3,6 @@ package sim
 import (
 	"encoding/json"
 	"io"
-	"os"
 )
 
 // WriteJSON serializes v as indented JSON to w. Every experiment result
@@ -14,20 +13,4 @@ func WriteJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-// WriteJSONFile writes v as indented JSON to path ("-" means stdout).
-func WriteJSONFile(path string, v any) error {
-	if path == "-" {
-		return WriteJSON(os.Stdout, v)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteJSON(f, v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -128,12 +128,11 @@ func ownerComputeIPC(pr prepared, refInstr uint64, nodes int, perfectIPC float64
 	// Expected dimension-order hop count between uniformly placed owners
 	// on the W x H mesh: E|dx| + E|dy| for independent uniform
 	// coordinates.
-	w, h := bus.NewMesh(bus.DefaultLinkConfig(), nodes).Dims()
+	w, h := bus.NewMesh(bus.DefaultConfig(), nodes).Dims()
 	avgHops := float64(w*w-1)/(3*float64(w)) + float64(h*h-1)/(3*float64(h))
 	// Per-hop cost of a 16-byte task descriptor at the default link.
-	link := bus.DefaultLinkConfig()
-	flits := uint64((16 + link.WidthBytes - 1) / link.WidthBytes)
-	hopCost := float64(link.HopCycles + flits*link.ClockDivisor)
+	link := bus.DefaultConfig()
+	hopCost := float64(link.TransferCycles(16) + link.HopCycles)
 	cycles := float64(instrs)/perfectIPC + float64(transitions)*avgHops*hopCost
 	return float64(instrs) / cycles, nil
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/wisc-arch/datascalar/internal/bus"
 )
 
 // Small experiment sizes keep the suite fast; cmd/ binaries and the
@@ -198,9 +200,33 @@ func checkTable3(t *testing.T, f7 Figure7Result) {
 	}
 }
 
+// TestFigure8ShapeHolds runs the sensitivity sweep on every topology.
+// The bus case keeps the paper's budget; the multi-hop cases run a
+// short sweep and pin that the bus-clock and bus-width axes reach each
+// link: a 16x slower or 16x narrower link must cost go and compress at
+// least a tenth of their DS 2-node and trad 1/2 IPC.
 func TestFigure8ShapeHolds(t *testing.T) {
-	opts := testOpts()
-	opts.SweepInstr = 40_000
+	for _, tc := range []struct {
+		topo  bus.TopologyKind
+		instr uint64
+	}{
+		{bus.TopoBus, 40_000},
+		{bus.TopoRing, 5_000},
+		{bus.TopoMesh, 5_000},
+		{bus.TopoTorus, 5_000},
+	} {
+		t.Run(tc.topo.String(), func(t *testing.T) {
+			opts := testOpts()
+			opts.SweepInstr = tc.instr
+			opts.Topology = tc.topo
+			checkFigure8Shape(t, opts, tc.topo != bus.TopoBus)
+		})
+	}
+}
+
+// checkFigure8Shape runs Figure 8 and checks its shape; linkAxes adds
+// the check that the bus-clock and bus-width sweeps move IPC.
+func checkFigure8Shape(t *testing.T, opts Options, linkAxes bool) {
 	res, err := Figure8(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -208,6 +234,11 @@ func TestFigure8ShapeHolds(t *testing.T) {
 	// 2 benchmarks x 5 parameters.
 	if len(res.Series) != 10 {
 		t.Fatalf("series = %d, want 10", len(res.Series))
+	}
+	// slower reports whether the slow point's DS 2-node and trad 1/2
+	// IPC both fall below 0.9x the fast point's.
+	slower := func(slow, fast Figure8Point) bool {
+		return slow.DS2 < 0.9*fast.DS2 && slow.Trad2 < 0.9*fast.Trad2
 	}
 	for _, s := range res.Series {
 		if len(s.Points) != 5 {
@@ -218,18 +249,26 @@ func TestFigure8ShapeHolds(t *testing.T) {
 				t.Fatalf("%s/%s@%d: non-positive IPC %+v", s.Benchmark, s.Param, p.Value, p)
 			}
 		}
+		first, last := s.Points[0], s.Points[len(s.Points)-1]
 		switch s.Param {
 		case ParamMemNs:
 			// Slower memory must not speed anything up.
-			first, last := s.Points[0], s.Points[len(s.Points)-1]
 			if last.DS2 > first.DS2*1.05 || last.Trad2 > first.Trad2*1.05 {
 				t.Errorf("%s: slower memory raised IPC (%+v -> %+v)", s.Benchmark, first, last)
 			}
 		case ParamBusClock:
 			// A slower global bus must not help either system.
-			first, last := s.Points[0], s.Points[len(s.Points)-1]
 			if last.DS2 > first.DS2*1.05 || last.Trad2 > first.Trad2*1.05 {
 				t.Errorf("%s: slower bus raised IPC", s.Benchmark)
+			}
+			if linkAxes && !slower(last, first) {
+				t.Errorf("%s: bus clock %d -> %d barely moved IPC (%+v -> %+v)",
+					s.Benchmark, first.Value, last.Value, first, last)
+			}
+		case ParamBusWidth:
+			if linkAxes && !slower(first, last) {
+				t.Errorf("%s: bus width %d -> %d barely moved IPC (%+v -> %+v)",
+					s.Benchmark, last.Value, first.Value, last, first)
 			}
 		}
 	}

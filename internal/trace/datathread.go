@@ -135,11 +135,6 @@ type MissFilter struct {
 	dcache *cache.Cache
 }
 
-// NewMissFilter builds split caches with the given geometries.
-func NewMissFilter(iCfg, dCfg cache.Config) *MissFilter {
-	return &MissFilter{icache: cache.New(iCfg), dcache: cache.New(dCfg)}
-}
-
 // DefaultMissFilter returns the paper's split 16 KB caches (two-way for
 // the Table 1/2 studies).
 func DefaultMissFilter() *MissFilter {

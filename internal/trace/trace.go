@@ -21,29 +21,18 @@ type Ref struct {
 	Instr bool // instruction fetch
 }
 
-// ForEachRef executes program p (bounded by maxInstr; 0 = to completion)
-// and streams its memory references to fn in execution order: each
-// instruction's fetch (when includeInstr is set) followed by its data
-// access, if any. Returning an error from fn aborts the walk.
-func ForEachRef(p *prog.Program, maxInstr uint64, includeInstr bool, fn func(Ref) error) error {
-	return ForEachRefFrom(p, 0, maxInstr, includeInstr, fn)
-}
-
-// ForEachRefFrom is ForEachRef starting at startPC: the program is
-// executed silently up to that PC first (0 = start immediately), so
-// analyses measure steady-state behaviour rather than initialization —
-// the same fast-forward discipline the timing harnesses use.
+// ForEachRefFrom executes program p from startPC (bounded by maxInstr;
+// 0 = to completion) and streams its memory references to fn in
+// execution order: each instruction's fetch (when includeInstr is set)
+// followed by its data access, if any. The program first runs silently
+// up to startPC (0 = start immediately), so analyses measure
+// steady-state behaviour rather than initialization — the same
+// fast-forward discipline the timing harnesses use. Returning an error
+// from fn aborts the walk.
 func ForEachRefFrom(p *prog.Program, startPC, maxInstr uint64, includeInstr bool, fn func(Ref) error) error {
-	m, err := emu.New(p)
+	m, err := emu.NewAt(p, startPC)
 	if err != nil {
-		return err
-	}
-	if startPC != 0 {
-		if _, ok, err := m.RunUntilPC(startPC, 200_000_000); err != nil {
-			return err
-		} else if !ok {
-			return fmt.Errorf("trace: start pc 0x%x never reached", startPC)
-		}
+		return fmt.Errorf("trace: %w", err)
 	}
 	start := m.InstrCount()
 	for !m.Halted() {
@@ -71,23 +60,9 @@ func ForEachRefFrom(p *prog.Program, startPC, maxInstr uint64, includeInstr bool
 	return nil
 }
 
-// CollectRefs is ForEachRef into a slice, for small traces in tests.
-func CollectRefs(p *prog.Program, maxInstr uint64, includeInstr bool) ([]Ref, error) {
-	var out []Ref
-	err := ForEachRef(p, maxInstr, includeInstr, func(r Ref) error {
-		out = append(out, r)
-		return nil
-	})
-	return out, err
-}
-
-// ProfilePages counts page accesses over a program run (instruction and
-// data references), the input to the paper's replication selection.
-func ProfilePages(p *prog.Program, maxInstr uint64, observe func(addr uint64)) error {
-	return ProfilePagesFrom(p, 0, maxInstr, observe)
-}
-
-// ProfilePagesFrom is ProfilePages starting at startPC.
+// ProfilePagesFrom counts page accesses over a program run from startPC
+// (instruction and data references), the input to the paper's
+// replication selection.
 func ProfilePagesFrom(p *prog.Program, startPC, maxInstr uint64, observe func(addr uint64)) error {
 	return ForEachRefFrom(p, startPC, maxInstr, true, func(r Ref) error {
 		observe(r.Addr)

@@ -33,6 +33,16 @@ func assembleT(t *testing.T, src string) *prog.Program {
 	return p
 }
 
+// collectRefs runs the whole of p into a slice, for small traces.
+func collectRefs(p *prog.Program, includeInstr bool) ([]Ref, error) {
+	var out []Ref
+	err := ForEachRefFrom(p, 0, 0, includeInstr, func(r Ref) error {
+		out = append(out, r)
+		return nil
+	})
+	return out, err
+}
+
 func TestForEachRefOrderAndContent(t *testing.T) {
 	p := assembleT(t, `
         .data
@@ -43,7 +53,7 @@ x:      .word 1
         sd   r2, 8(r1)
         halt
 `)
-	refs, err := CollectRefs(p, 0, true)
+	refs, err := collectRefs(p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +78,7 @@ x:      .word 1
 
 func TestForEachRefDataOnly(t *testing.T) {
 	p := assembleT(t, "\t.data\nx: .word 1\n\t.text\n\tla r1, x\n\tld r2, 0(r1)\n\thalt\n")
-	refs, err := CollectRefs(p, 0, false)
+	refs, err := collectRefs(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +90,7 @@ func TestForEachRefDataOnly(t *testing.T) {
 func TestForEachRefLimit(t *testing.T) {
 	p := assembleT(t, tinyLoop)
 	n := 0
-	if err := ForEachRef(p, 100, true, func(Ref) error { n++; return nil }); err != nil {
+	if err := ForEachRefFrom(p, 0, 100, true, func(Ref) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 || n > 300 {
@@ -141,7 +151,7 @@ func TestTrafficFinishFlushesDirty(t *testing.T) {
 func TestTrafficTransactionsAtLeastHalfOnRealKernel(t *testing.T) {
 	p := assembleT(t, tinyLoop)
 	a := NewTrafficAnalyzer(DefaultTrafficConfig())
-	if err := ForEachRef(p, 0, false, a.Observe); err != nil {
+	if err := ForEachRefFrom(p, 0, 0, false, a.Observe); err != nil {
 		t.Fatal(err)
 	}
 	res := a.Finish()
@@ -291,7 +301,7 @@ func TestEndToEndDatathreads(t *testing.T) {
 	}
 	filter := DefaultMissFilter()
 	an := NewDatathreadAnalyzer(pt)
-	err = ForEachRef(p, 0, true, func(r Ref) error {
+	err = ForEachRefFrom(p, 0, 0, true, func(r Ref) error {
 		if filter.Observe(r) {
 			an.Observe(r.Addr, r.Instr)
 		}
@@ -309,7 +319,7 @@ func TestEndToEndDatathreads(t *testing.T) {
 func TestProfilePages(t *testing.T) {
 	p := assembleT(t, tinyLoop)
 	pr := mem.NewProfiler()
-	if err := ProfilePages(p, 0, pr.Observe); err != nil {
+	if err := ProfilePagesFrom(p, 0, 0, pr.Observe); err != nil {
 		t.Fatal(err)
 	}
 	order := pr.PagesByHeat()

@@ -106,7 +106,7 @@ func TestRecordAndReplayMatchesLiveRun(t *testing.T) {
 
 	// A live traffic analysis and a replayed one must agree exactly.
 	live := NewTrafficAnalyzer(DefaultTrafficConfig())
-	if err := ForEachRef(p, 100_000, true, func(r Ref) error {
+	if err := ForEachRefFrom(p, 0, 100_000, true, func(r Ref) error {
 		if r.Instr {
 			return nil
 		}

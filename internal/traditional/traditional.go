@@ -190,16 +190,9 @@ func NewMachine(cfg Config, p *prog.Program, pt *mem.PageTable) (*Machine, error
 		return nil, fmt.Errorf("traditional: page table built for %d chips, machine has %d",
 			pt.NumNodes(), cfg.Chips)
 	}
-	em, err := emu.New(p)
+	em, err := emu.NewAt(p, cfg.FastForwardPC)
 	if err != nil {
-		return nil, err
-	}
-	if cfg.FastForwardPC != 0 {
-		if _, ok, err := em.RunUntilPC(cfg.FastForwardPC, 200_000_000); err != nil {
-			return nil, fmt.Errorf("traditional: fast-forward: %w", err)
-		} else if !ok {
-			return nil, fmt.Errorf("traditional: fast-forward never reached pc 0x%x", cfg.FastForwardPC)
-		}
+		return nil, fmt.Errorf("traditional: %w", err)
 	}
 	m := &Machine{
 		cfg:         cfg,
@@ -525,16 +518,9 @@ func (m *Machine) skipIdle(lastProgress, watchdog uint64) {
 // data cache (single-cycle access to any operand), optionally
 // fast-forwarded to ffPC first, and returns its result.
 func RunPerfect(coreCfg ooo.Config, p *prog.Program, maxInstr, ffPC uint64) (Result, error) {
-	em, err := emu.New(p)
+	em, err := emu.NewAt(p, ffPC)
 	if err != nil {
-		return Result{}, err
-	}
-	if ffPC != 0 {
-		if _, ok, err := em.RunUntilPC(ffPC, 200_000_000); err != nil {
-			return Result{}, err
-		} else if !ok {
-			return Result{}, fmt.Errorf("traditional: fast-forward never reached pc 0x%x", ffPC)
-		}
+		return Result{}, fmt.Errorf("traditional: %w", err)
 	}
 	c := ooo.New(coreCfg, ooo.NewEmuSource(em, maxInstr), ooo.PerfectMem{})
 	cycles, err := ooo.Run(c, 0)

@@ -109,7 +109,7 @@ func TestStoreFractions(t *testing.T) {
 			t.Fatal(err)
 		}
 		var loads, stores uint64
-		err = trace.ForEachRef(p, 500_000, false, func(r trace.Ref) error {
+		err = trace.ForEachRefFrom(p, 0, 500_000, false, func(r trace.Ref) error {
 			if r.Store {
 				stores++
 			} else {

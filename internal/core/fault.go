@@ -169,16 +169,15 @@ func (m *Machine) killNode(id int) {
 	}
 }
 
-// handleFaultArrival applies the fault layer to one delivery: the
-// machine-global bookkeeping (injection stats, drop/flip ground truth,
-// retry service accounting, the fingerprint ledger, warm-replica
-// state), then the node-local effect. It returns true when the arrival
-// was consumed (resilience control traffic) or suppressed (dead
-// receiver, injected drop); false hands the arrival to the ordinary
-// broadcast path.
-func (m *Machine) handleFaultArrival(arr bus.Arrival) bool {
+// handleFaultArrival applies the fault layer to one delivery of msg at
+// node nd: the machine-global bookkeeping (injection stats, drop/flip
+// ground truth, retry service accounting, the fingerprint ledger,
+// warm-replica state), then the node-local effect. It returns true when
+// the arrival was consumed (resilience control traffic) or suppressed
+// (dead receiver, injected drop); false hands the arrival to the
+// ordinary broadcast path.
+func (m *Machine) handleFaultArrival(nd *node, msg bus.Message) bool {
 	fs := m.fault
-	nd, msg := m.nodes[arr.Node], arr.Msg
 	if fs.dead[nd.id] {
 		return true // a dead chip neither receives nor responds
 	}
@@ -628,11 +627,11 @@ func (fs *faultState) flushFingerprints(m *Machine) {
 	}
 }
 
-// faultNextEvent returns the earliest future cycle at which the fault
-// layer must act — the next scheduled death, or a live node's earliest
-// BSHR deadline — so the cycle-skipping scheduler never jumps past a
-// timeout or a death event. Clamped to m.now so an already-due event
-// blocks skipping rather than producing a bogus jump target.
+// faultNextEvent returns the earliest cycle at which the fault layer
+// must act — the next scheduled death, or a live node's earliest BSHR
+// deadline — so the cycle-skipping scheduler never jumps past a timeout
+// or a death event. An already-due event returns a cycle at or before
+// the current one, which NextEvent treats as blocking the jump.
 func (m *Machine) faultNextEvent() uint64 {
 	fs := m.fault
 	next := uint64(NoDeadline)
@@ -646,9 +645,6 @@ func (m *Machine) faultNextEvent() uint64 {
 		if d := nd.bshr.NextDeadline(); d < next {
 			next = d
 		}
-	}
-	if next < m.now {
-		next = m.now
 	}
 	return next
 }

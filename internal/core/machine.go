@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -310,222 +311,155 @@ func (m *Machine) Network() bus.Network { return m.net }
 
 // Run executes the program to completion on all nodes, interleaving all
 // contexts cycle by cycle (the paper's simulator "switches contexts after
-// executing each cycle"). When the configuration allows (the default),
-// the loop skips provably idle stretches — cycles where no core can act
-// and the interconnect has nothing due — by jumping m.now straight to the
-// next event; see docs/PERFORMANCE.md for the invariants that make the
-// skipped and polled runs bit-identical.
+// executing each cycle"). ooo.Drive runs Step and, when the
+// configuration allows (the default), jumps over the provably idle
+// stretches NextEvent certifies; see docs/PERFORMANCE.md for the
+// invariants that make the skipped and polled runs bit-identical.
 func (m *Machine) Run() (Result, error) {
+	var err error
 	if m.cfg.ParallelNodes > 1 && m.cfg.Nodes > 1 && m.fault == nil {
 		// Conservative parallel intra-run simulation: byte-identical to
-		// the loop below (see internal/core/parallel.go and the
-		// differential suite in internal/sim). Fault plans take the loop
-		// below: the parallel engine holds no copy of the fault layer
+		// the serial loop (see internal/core/parallel.go and the
+		// differential suite in internal/sim). Fault plans take the serial
+		// loop: the parallel engine holds no copy of the fault layer
 		// (docs/PERFORMANCE.md §6 records why).
-		return m.runParallel()
+		err = m.runParallel()
+	} else {
+		_, err = ooo.Drive(m, m.now, m.cfg.Core.NoCycleSkip, m.cfg.WatchdogCycles)
 	}
-	noSkip := m.cfg.Core.NoCycleSkip
-	watchdog := m.cfg.WatchdogCycles
-	if watchdog == 0 {
-		watchdog = 2_000_000
+	if errors.Is(err, ooo.ErrNoProgress) {
+		return Result{}, m.deadlockError()
 	}
-	lastProgress := uint64(0)
-	lastTotal := uint64(0)
-
-	for {
-		if m.fault != nil {
-			m.maybeKill()
-		}
-		done := true
-		for _, nd := range m.nodes {
-			if !nd.core.Done() && !m.nodeDead(nd.id) {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-
-		// Interconnect first: deliveries at cycle t are visible to the
-		// cores at t.
-		for _, arr := range m.net.Tick(m.now) {
-			// An arrival can invalidate the receiving node's sleep
-			// certificate (a broadcast or retry response completes a load),
-			// so wake it for this cycle. Over-waking is harmless — Cycle on
-			// a no-op cycle performs exactly the accounting SkipCycles
-			// would — so every arrival rewinds, not just data-bearing ones.
-			if nd := m.nodes[arr.Node]; nd.wake > m.now {
-				nd.wake = m.now
-			}
-			if m.fault != nil && m.handleFaultArrival(arr) {
-				continue
-			}
-			if arr.Msg.Kind == bus.Broadcast {
-				if m.obs != nil {
-					m.obs.Event(obs.Event{
-						Cycle: m.now, Node: arr.Node, Kind: obs.EvBroadcastArrived,
-						Addr: arr.Msg.Addr, Arg: boolArg(arr.Msg.Reparative),
-					})
-				}
-				m.nodes[arr.Node].onBroadcast(arr.Msg.Addr, m.now)
-			}
-		}
-		var total uint64
-		for _, nd := range m.nodes {
-			switch {
-			case m.nodeDead(nd.id):
-				// The core never runs again; the machine charges its share
-				// of every remaining cycle so stacks stay exhaustive.
-				nd.core.CPIStack().Add(obs.StallDead, 1)
-			case nd.core.Done():
-				nd.core.CPIStack().Add(obs.StallHalted, 1)
-			case !noSkip && nd.wake > m.now:
-				// Asleep: the node's own certificate (set when it last ran)
-				// says every Cycle before nd.wake is a no-op apart from its
-				// deterministic stall accounting, which SkipCycles replays
-				// exactly — the sparse counterpart of skipIdle's time jump.
-				// Any event that could invalidate the certificate (a
-				// network arrival, a fault-layer self-serve) rewinds wake
-				// first, so a sleeping node is provably idle.
-				nd.core.SkipCycles(m.now, 1)
-			default:
-				nd.core.Cycle(m.now)
-				if err := nd.runErr(); err != nil {
-					return Result{}, fmt.Errorf("core: node %d: %w", nd.id, err)
-				}
-				if !noSkip {
-					// Re-certify: sleep until the core's next event. A
-					// declined certificate (ok=false) means run again next
-					// cycle.
-					if next, ok := nd.core.NextEventCycle(m.now + 1); ok {
-						nd.wake = next
-					} else {
-						nd.wake = m.now + 1
-					}
-				}
-			}
-			total += nd.core.Committed()
-		}
-		if m.fault != nil {
-			m.checkTimeouts()
-			if r := m.fault.report; r != nil {
-				return Result{}, r
-			}
-		}
-		if total != lastTotal {
-			lastTotal = total
-			lastProgress = m.now
-		} else if m.now-lastProgress > watchdog {
-			return Result{}, m.deadlockError()
-		}
-		m.now++
-		if m.sampler != nil && m.now%m.cfg.SampleInterval == 0 {
-			m.emitSamples()
-		}
-		if !noSkip {
-			m.skipIdle(lastProgress, watchdog)
-		}
+	if err != nil {
+		return Result{}, err
 	}
-	if m.sampler != nil && m.now > m.sampler.lastCycle {
+	if m.sampler != nil {
 		m.emitSamples() // final partial interval
 	}
-
 	return m.collect(), nil
 }
 
-// skipIdle advances m.now past cycles that are provably no-ops for every
-// component, preserving bit-identity with the polled loop:
-//
-//   - Each live core certifies, via NextEventCycle, that its Cycle calls
-//     up to (but excluding) its next event only bump deterministic stall
-//     counters; SkipCycles replays those in bulk.
-//   - The interconnect certifies, via NextDeliveryCycle, that its Ticks
-//     before the returned cycle are no-ops (no delivery, no arbitration,
-//     no counter movement), so not calling them changes nothing.
-//   - The jump is capped at lastProgress+watchdog+1, the first cycle the
-//     polled loop's watchdog could fire, so deadlocks surface with the
-//     identical cycle number and message.
-//   - Sample boundaries crossed by the jump are replayed in order with
-//     m.now set to each boundary; the counters a sample reads are frozen
-//     across skipped cycles, so the emitted values match exactly.
-//
-// Called with m.now = the next cycle to simulate (cycle m.now-1 and its
-// network Tick have completed).
-func (m *Machine) skipIdle(lastProgress, watchdog uint64) {
-	target := lastProgress + watchdog + 1
-	if nn := m.net.NextDeliveryCycle(m.now - 1); nn < target {
-		target = nn
+var _ ooo.Clocked = (*Machine)(nil)
+
+// beginCycle opens cycle m.now for the serial Step and the parallel
+// window loop alike: the sample due at a boundary (taken with the state
+// every earlier cycle left), the scheduled deaths, then the done check.
+func (m *Machine) beginCycle() (done bool) {
+	if m.sampler != nil && m.now%m.cfg.SampleInterval == 0 {
+		m.emitSamples()
 	}
 	if m.fault != nil {
-		// Never jump past the pending death cycle or a BSHR timeout; both
-		// must fire at the same cycle the polled loop would fire them.
-		if fc := m.faultNextEvent(); fc < target {
-			target = fc
+		m.maybeKill()
+	}
+	for _, nd := range m.nodes {
+		if !nd.core.Done() && !m.nodeDead(nd.id) {
+			return false
 		}
 	}
-	if target <= m.now {
-		return
+	return true
+}
+
+// Step implements ooo.Clocked: after beginCycle, the interconnect
+// delivers (deliveries at cycle now are visible to the cores at now),
+// every node takes its cycle in id order, and the fault layer runs its
+// timeout pass.
+func (m *Machine) Step(now uint64) (committed uint64, done bool, err error) {
+	m.now = now
+	if m.beginCycle() {
+		return 0, true, nil
+	}
+	for _, arr := range m.net.Tick(now) {
+		m.nodes[arr.Node].deliver(arr.Msg, now)
+	}
+	noSkip := m.cfg.Core.NoCycleSkip
+	for _, nd := range m.nodes {
+		if m.nodeDead(nd.id) || nd.core.Done() {
+			m.idle(nd, now, 1)
+		} else if err := nd.cycle(now, noSkip); err != nil {
+			return 0, false, fmt.Errorf("core: node %d: %w", nd.id, err)
+		}
+		committed += nd.core.Committed()
+	}
+	if m.fault != nil {
+		m.checkTimeouts()
+		if r := m.fault.report; r != nil {
+			return 0, false, r
+		}
+	}
+	return committed, false, nil
+}
+
+// NextEvent implements ooo.Clocked: the earliest of the interconnect's
+// next delivery (its Ticks before it are no-ops), the fault layer's next
+// death or BSHR deadline, and every live node's wake certificate — read
+// from the cache node.cycle keeps, so a skip attempt costs no O(nodes)
+// re-certification. A node due now, or a finished run (where a jump
+// would inflate the final cycle count), pins the answer to now.
+func (m *Machine) NextEvent(now uint64) uint64 {
+	next := m.net.NextDeliveryCycle(now - 1)
+	if m.fault != nil {
+		next = min(next, m.faultNextEvent())
+	}
+	if next <= now {
+		return now
 	}
 	live := false
 	for _, nd := range m.nodes {
 		if nd.core.Done() || m.nodeDead(nd.id) {
 			continue
 		}
+		if nd.wake <= now {
+			return now
+		}
 		live = true
-		// The cached wake is the certificate NextEventCycle issued when
-		// the node last ran (rewound by any arrival since), so the sparse
-		// loop's bookkeeping doubles as the skip computation: no O(nodes)
-		// re-certification per skip attempt. A node due now (wake at or
-		// before m.now, including the ok=false "run me every cycle" case)
-		// blocks the jump.
-		if nd.wake <= m.now {
-			return
-		}
-		if nd.wake < target {
-			target = nd.wake
-		}
+		next = min(next, nd.wake)
 	}
-	// With every core done the run is over; jumping further would inflate
-	// the final cycle count.
-	if !live || target <= m.now {
-		return
+	if !live {
+		return now
 	}
-	// Advance in sample-boundary segments: attribution (the CPI stacks)
-	// moves across skipped cycles even though every other counter a
-	// sample reads is frozen, so each boundary's sample must see exactly
-	// the cycles before it — the same partial stacks the polled loop
-	// would have accumulated.
+	return next
+}
+
+// Skip implements ooo.Clocked in sample-boundary segments: attribution
+// (the CPI stacks) moves across skipped cycles while every other counter
+// a sample reads is frozen, so each boundary's sample must see exactly
+// the cycles before it, as in the polled loop. A boundary at to is left
+// to the top of Step.
+func (m *Machine) Skip(now, to uint64) {
+	m.now = now
 	if m.sampler != nil {
 		si := m.cfg.SampleInterval
-		for b := (m.now/si + 1) * si; b <= target; b += si {
+		for b := (now + si - 1) / si * si; b < to; b += si {
 			m.skipAdvance(b - m.now)
 			m.now = b
 			m.emitSamples()
 		}
 	}
-	m.skipAdvance(target - m.now)
-	m.now = target
+	m.skipAdvance(to - m.now)
+	m.now = to
 }
 
-// skipAdvance replays delta skipped cycles into every node's per-cycle
-// accounting: live cores via SkipCycles (cycle count, stall counters,
-// and the frozen-state CPI bucket), dead and halted nodes via their
-// machine-charged buckets — exactly what the polled loop would have
-// accumulated over the same cycles.
+// skipAdvance charges delta skipped cycles from m.now to every node.
 func (m *Machine) skipAdvance(delta uint64) {
 	if delta == 0 {
 		return
 	}
 	for _, nd := range m.nodes {
-		switch {
-		case m.nodeDead(nd.id):
-			nd.core.CPIStack().Add(obs.StallDead, delta)
-		case nd.core.Done():
-			nd.core.CPIStack().Add(obs.StallHalted, delta)
-		default:
-			nd.core.SkipCycles(m.now, delta)
-		}
+		m.idle(nd, m.now, delta)
+	}
+}
+
+// idle charges delta cycles from now to a node that does not run them:
+// dead and halted nodes to their machine-charged buckets (keeping stacks
+// exhaustive), a sleeping live core through SkipCycles.
+func (m *Machine) idle(nd *node, now, delta uint64) {
+	switch {
+	case m.nodeDead(nd.id):
+		nd.core.CPIStack().Add(obs.StallDead, delta)
+	case nd.core.Done():
+		nd.core.CPIStack().Add(obs.StallHalted, delta)
+	default:
+		nd.core.SkipCycles(now, delta)
 	}
 }
 

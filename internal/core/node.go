@@ -132,13 +132,14 @@ type node struct {
 
 	// wake is the sparse-execution certificate: the next cycle this
 	// node's core can do anything beyond its deterministic stall
-	// accounting (NextEventCycle's result, cached by Machine.Run after
-	// the node's last Cycle). While m.now < wake the machine charges the
-	// node via SkipCycles instead of running it, and any event that
-	// could invalidate the certificate — a network arrival, a fault
-	// self-serve — rewinds wake to the current cycle. Unused (always
-	// zero) under Core.NoCycleSkip, which is how the differential suite pins
-	// the sparse loop's bit-identity.
+	// accounting (NextEventCycle's result, cached by node.cycle after the
+	// node's last Cycle). Before wake, node.cycle charges the node via
+	// SkipCycles instead of running it, Machine.NextEvent reads it as
+	// the node's next event, and any event that could invalidate the
+	// certificate — an arrival (node.deliver), a fault self-serve —
+	// rewinds wake to the current cycle. Unused (always zero) under
+	// Core.NoCycleSkip, which is how the differential suite pins the
+	// sparse loop's bit-identity.
 	wake uint64
 
 	// Correspondence-invariant sampling: tag state is a pure function of
@@ -438,6 +439,48 @@ func (n *node) runErr() error {
 		return err
 	}
 	return n.unmapped
+}
+
+// cycle advances a live node through cycle c, in the serial Step and the
+// parallel workers alike. Asleep on its wake certificate, it only
+// replays its stall accounting; otherwise its core runs and, unless
+// noSkip, re-certifies until its next event (next cycle when
+// NextEventCycle declines).
+func (n *node) cycle(c uint64, noSkip bool) error {
+	if !noSkip && n.wake > c {
+		n.core.SkipCycles(c, 1)
+		return nil
+	}
+	n.core.Cycle(c)
+	if err := n.runErr(); err != nil {
+		return err
+	}
+	if !noSkip {
+		if next, ok := n.core.NextEventCycle(c + 1); ok {
+			n.wake = next
+		} else {
+			n.wake = c + 1
+		}
+	}
+	return nil
+}
+
+// deliver hands the node one interconnect arrival at cycle c. Any
+// arrival rewinds the sleep certificate: one that completes a load
+// invalidates it, and over-waking costs only a Cycle that does what
+// SkipCycles would. The fault layer, when armed, may then consume the
+// arrival; a broadcast it lets through reaches the BSHR.
+func (n *node) deliver(msg bus.Message, c uint64) {
+	if n.wake > c {
+		n.wake = c
+	}
+	if n.m.fault != nil && n.m.handleFaultArrival(n, msg) {
+		return
+	}
+	if msg.Kind == bus.Broadcast {
+		n.obsEvent(obs.EvBroadcastArrived, msg.Addr, boolArg(msg.Reparative))
+		n.onBroadcast(msg.Addr, c)
+	}
 }
 
 // UsePrivate implements ooo.PrivatePort: the private path is active only

@@ -2,10 +2,10 @@ package core
 
 // Conservative parallel intra-run simulation (Config.ParallelNodes > 1).
 //
-// The serial loop in machine.go interleaves every node cycle by cycle.
-// This file advances spans of nodes on worker goroutines instead, in
-// windows of W cycles, where W is the conservative lookahead the
-// interconnect guarantees:
+// The serial loop (ooo.Drive over Machine.Step) interleaves every node
+// cycle by cycle. This file advances spans of nodes on worker goroutines
+// instead, in windows of W cycles, where W is the conservative lookahead
+// the interconnect guarantees:
 //
 //	W = senderFloor + net.Lookahead()
 //
@@ -26,11 +26,13 @@ package core
 //     (Network.NewScratch/CopyStateFrom) and tick it across the window,
 //     recording every arrival with its cycle and within-cycle position.
 //  2. Execute: workers advance their nodes cycle by cycle to the
-//     horizon, consuming predicted arrivals at the exact cycles the
-//     serial loop would deliver them. The node's interconnect and
-//     observer are leased to a per-node shim (parNode) that buffers
-//     outbound messages, records stall-attribution queries, and tags
-//     observer events with a deterministic (cycle, position) key.
+//     horizon with the serial loop's node step (node.cycle), handing
+//     predicted arrivals to its arrival handler (node.deliver) at the
+//     exact cycles the serial loop would deliver them. The node's
+//     interconnect and observer are leased to a per-node shim (parNode)
+//     that buffers outbound messages, records stall-attribution
+//     queries, and tags observer events with a deterministic (cycle,
+//     position) key.
 //  3. Replay: the coordinator re-ticks the *real* interconnect through
 //     the window serially, feeding each node's buffered messages in at
 //     their recorded cycles in node order — reproducing the exact
@@ -55,6 +57,7 @@ import (
 
 	"github.com/wisc-arch/datascalar/internal/bus"
 	"github.com/wisc-arch/datascalar/internal/obs"
+	"github.com/wisc-arch/datascalar/internal/ooo"
 )
 
 // cycleTag is the within-cycle event position assigned to events emitted
@@ -245,9 +248,9 @@ func newParRunner(m *Machine) *parRunner {
 
 // leaseNet points every node's interconnect at its shim (lease=true)
 // or back at the real network (lease=false). The barrier's idle skip
-// runs with the real network: skipped-stretch stall classification
-// (SkipCycles → StallClass → ClassifyLoad → DataPhase) must see true
-// interconnect state, exactly as the serial loop's skipIdle does —
+// (Machine.Skip) runs with the real network: skipped-stretch stall
+// classification (SkipCycles → StallClass → ClassifyLoad → DataPhase)
+// must see true interconnect state, exactly as in the serial loop —
 // the shim would answer PhaseAbsent and misattribute the stall.
 func (p *parRunner) leaseNet(lease bool) {
 	for _, pn := range p.pnodes {
@@ -295,7 +298,6 @@ func (w *parWorker) loop() {
 // keeps its state hot in cache.
 func (w *parWorker) runWindow(t, h uint64) {
 	noSkip := w.m.cfg.Core.NoCycleSkip
-	obsOn := w.m.obs != nil
 	for _, pn := range w.pnodes {
 		if pn.done {
 			continue
@@ -318,36 +320,13 @@ func (w *parWorker) runWindow(t, h uint64) {
 				pr := &pn.preds[pn.predHead]
 				pn.predHead++
 				pn.idx = pr.idx
-				if nd.wake > c {
-					nd.wake = c
-				}
-				if pr.msg.Kind == bus.Broadcast {
-					if obsOn {
-						pn.Event(obs.Event{
-							Cycle: c, Node: nd.id, Kind: obs.EvBroadcastArrived,
-							Addr: pr.msg.Addr, Arg: boolArg(pr.msg.Reparative),
-						})
-					}
-					nd.onBroadcast(pr.msg.Addr, c)
-				}
+				nd.deliver(pr.msg, c)
 			}
 			// Cycle phase.
 			pn.idx = cycleTag
-			if !noSkip && nd.wake > c {
-				nd.core.SkipCycles(c, 1)
-			} else {
-				nd.core.Cycle(c)
-				if err := nd.runErr(); err != nil {
-					pn.errCycle, pn.err = c, err
-					break
-				}
-				if !noSkip {
-					if next, ok := nd.core.NextEventCycle(c + 1); ok {
-						nd.wake = next
-					} else {
-						nd.wake = c + 1
-					}
-				}
+			if err := nd.cycle(c, noSkip); err != nil {
+				pn.errCycle, pn.err = c, err
+				break
 			}
 			if cm := nd.core.Committed(); cm != pn.committed {
 				pn.committed = cm
@@ -440,15 +419,7 @@ func (p *parRunner) replayCycle(c uint64, limitNode int) error {
 			// emits merges at this exact position.
 			pn.now = c
 			pn.idx = idx
-			if arr.Msg.Kind == bus.Broadcast {
-				if m.obs != nil {
-					pn.Event(obs.Event{
-						Cycle: c, Node: arr.Node, Kind: obs.EvBroadcastArrived,
-						Addr: arr.Msg.Addr, Arg: boolArg(arr.Msg.Reparative),
-					})
-				}
-				pn.nd.onBroadcast(arr.Msg.Addr, c)
-			}
+			pn.nd.deliver(arr.Msg, c)
 		}
 		p.flushEvents(pn, c, idx)
 		idx++
@@ -475,27 +446,22 @@ func (p *parRunner) replayCycle(c uint64, limitNode int) error {
 	return nil
 }
 
-// runParallel is Machine.Run's parallel twin: the same loop structure,
-// advanced a window at a time. See the file comment for the protocol.
-func (m *Machine) runParallel() (Result, error) {
+// runParallel is Run's parallel path: the serial loop's structure
+// (beginCycle, the watchdog, NextEvent and Skip) advanced a window at a
+// time; see the file comment for the protocol. On a watchdog abort it
+// returns ooo.ErrNoProgress with m.now at the cycle it fired.
+func (m *Machine) runParallel() error {
 	watchdog := m.cfg.WatchdogCycles
 	if watchdog == 0 {
-		watchdog = 2_000_000
+		watchdog = ooo.DefaultWatchdog
 	}
 	p := newParRunner(m)
 	defer p.shutdown()
-	lastProgress := uint64(0)
+	lastProgress := m.now
 
 	for {
-		done := true
-		for _, nd := range m.nodes {
-			if !nd.core.Done() {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
+		if m.beginCycle() {
+			return nil
 		}
 
 		t := m.now
@@ -545,14 +511,14 @@ func (m *Machine) runParallel() (Result, error) {
 			ec := p.pnodes[errNode].errCycle
 			for c := t; c < ec; c++ {
 				if err := p.replayCycle(c, -1); err != nil {
-					return Result{}, err
+					return err
 				}
 			}
 			if err := p.replayCycle(ec, errNode); err != nil {
-				return Result{}, err
+				return err
 			}
 			m.now = ec
-			return Result{}, fmt.Errorf("core: node %d: %w", errNode, p.pnodes[errNode].err)
+			return fmt.Errorf("core: node %d: %w", errNode, p.pnodes[errNode].err)
 		}
 		// endExec is the exclusive bound on cycles the machine actually
 		// executes: the horizon, or — when every node finished inside the
@@ -569,38 +535,28 @@ func (m *Machine) runParallel() (Result, error) {
 		}
 		for c := t; c < endExec; c++ {
 			if err := p.replayCycle(c, -1); err != nil {
-				return Result{}, err
+				return err
 			}
 		}
-		// The serial loop charges StallHalted to every done node on every
-		// executed cycle; the workers do not, so charge the whole stretch
-		// here.
+		// The serial loop charges every done node on every executed
+		// cycle; the workers do not, so charge the whole stretch here.
 		for _, pn := range p.pnodes {
-			if !pn.done || pn.doneCycle >= endExec {
-				continue
+			if pn.done && pn.doneCycle < endExec {
+				from := max(pn.doneCycle, t)
+				m.idle(pn.nd, from, endExec-from)
 			}
-			from := pn.doneCycle
-			if from < t {
-				from = t
-			}
-			pn.nd.core.CPIStack().Add(obs.StallHalted, endExec-from)
 		}
 		if (endExec-1)-lastProgress > watchdog {
 			m.now = endExec - 1
-			return Result{}, m.deadlockError()
+			return ooo.ErrNoProgress
 		}
 		m.now = endExec
-		if m.sampler != nil && m.now%m.cfg.SampleInterval == 0 {
-			m.emitSamples()
-		}
 		if !m.cfg.Core.NoCycleSkip {
-			p.leaseNet(false)
-			m.skipIdle(lastProgress, watchdog)
-			p.leaseNet(true)
+			if next := min(m.NextEvent(m.now), lastProgress+watchdog+1); next > m.now {
+				p.leaseNet(false)
+				m.Skip(m.now, next)
+				p.leaseNet(true)
+			}
 		}
 	}
-	if m.sampler != nil && m.now > m.sampler.lastCycle {
-		m.emitSamples() // final partial interval
-	}
-	return m.collect(), nil
 }

@@ -180,3 +180,29 @@ func TestParallelReplayDivergenceError(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAgainIsIdempotent: Run on a machine that already finished
+// returns the same Result and observes nothing new, serially and at two
+// workers — the loop resumes at the machine's own cycle, sees every
+// node done and simulates nothing.
+func TestRunAgainIsIdempotent(t *testing.T) {
+	for _, parallel := range []int{1, 2} {
+		trace := obs.NewTrace()
+		m := buildMachine(t, streamSum, 4, func(c *Config) {
+			c.ParallelNodes = parallel
+			c.Observer = trace
+			c.SampleInterval = 500
+		})
+		first := mustRunMachine(t, m)
+		events, samples := trace.NumEvents(), trace.NumSamples()
+		again := mustRunMachine(t, m)
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("parallel-nodes=%d: second Run changed the result:\nfirst: %+v\nagain: %+v",
+				parallel, first, again)
+		}
+		if trace.NumEvents() != events || trace.NumSamples() != samples {
+			t.Fatalf("parallel-nodes=%d: second Run observed %d events and %d samples",
+				parallel, trace.NumEvents()-events, trace.NumSamples()-samples)
+		}
+	}
+}

@@ -59,8 +59,6 @@ const (
 	// EvCacheWriteback: a fill evicted a dirty victim (Addr = victim
 	// line).
 	EvCacheWriteback
-	// EvCacheInvalidate: a line was invalidated.
-	EvCacheInvalidate
 	// EvBusGrant: the interconnect granted (bus) or injected (ring) a
 	// message (Arg = wire bytes; Node = source).
 	EvBusGrant
@@ -124,7 +122,6 @@ var eventNames = [numEventKinds]string{
 	EvCommitFill:        "commit.fill",
 	EvCacheFill:         "cache.fill",
 	EvCacheWriteback:    "cache.writeback",
-	EvCacheInvalidate:   "cache.invalidate",
 	EvBusGrant:          "bus.grant",
 	EvBusDeliver:        "bus.deliver",
 	EvFaultDrop:         "fault.drop",

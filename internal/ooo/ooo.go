@@ -121,11 +121,13 @@ type Config struct {
 	// ClassStore is the commit-readiness latency.
 	Latency [isa.NumClasses]uint64
 	// NoCycleSkip forces strict cycle-by-cycle polling, disabling
-	// next-event cycle skipping, in every loop that drives this core: the
-	// standalone Run driver and the DataScalar and traditional machines,
-	// which carry this config as their Config.Core. Results are
-	// bit-identical either way (the differential suites prove it); the
-	// flag exists for that differential testing and for debugging.
+	// next-event cycle skipping, wherever this core runs: every machine
+	// passes it to Drive as noSkip (the DataScalar and traditional
+	// machines carry this config as their Config.Core), and the
+	// DataScalar machine's per-node sleep certificates honour it too.
+	// Results are bit-identical either way (the differential suites
+	// prove it); the flag exists for that differential testing and for
+	// debugging.
 	NoCycleSkip bool
 }
 

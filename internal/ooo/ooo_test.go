@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/wisc-arch/datascalar/internal/asm"
@@ -57,7 +58,7 @@ func coreFor(t *testing.T, src string, mem MemPort, mut func(*Config)) (*Core, *
 
 func mustRun(t *testing.T, c *Core) uint64 {
 	t.Helper()
-	cycles, err := Run(c, 100_000)
+	cycles, err := Drive(c, 0, c.cfg.NoCycleSkip, 100_000)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -459,13 +460,26 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
+// TestWatchdogFires: a memory that never completes loads must trip the
+// watchdog at the first cycle more than the budget past the last
+// commit, whether Drive skips the idle stretch or polls it.
 func TestWatchdogFires(t *testing.T) {
-	// A memory that never completes loads must trip the watchdog.
 	src := "\t.data\nx: .word 1\n\t.text\n\tla r1, x\n\tld r2, 0(r1)\n\thalt\n"
-	pm := &pendingMem{}
-	c, _ := coreFor(t, src, pm, nil)
-	if _, err := Run(c, 50); err == nil {
-		t.Fatal("watchdog did not fire on stuck load")
+	const budget = 50
+	var fired [2]uint64
+	for i, noSkip := range []bool{false, true} {
+		c, _ := coreFor(t, src, &pendingMem{}, nil)
+		cycles, err := Drive(c, 0, noSkip, budget)
+		if !errors.Is(err, ErrNoProgress) {
+			t.Fatalf("noSkip=%v: err = %v, want ErrNoProgress on a stuck load", noSkip, err)
+		}
+		if want := c.LastCommitCycle() + budget + 1; cycles != want {
+			t.Fatalf("noSkip=%v: watchdog fired at cycle %d, want %d", noSkip, cycles, want)
+		}
+		fired[i] = cycles
+	}
+	if fired[0] != fired[1] {
+		t.Fatalf("watchdog cycle: skipped %d, polled %d", fired[0], fired[1])
 	}
 }
 

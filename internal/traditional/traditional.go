@@ -12,6 +12,7 @@
 package traditional
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/wisc-arch/datascalar/internal/bus"
@@ -177,6 +178,7 @@ type Machine struct {
 var (
 	_ ooo.MemPort        = (*Machine)(nil)
 	_ ooo.LoadClassifier = (*Machine)(nil)
+	_ ooo.Clocked        = (*Machine)(nil)
 )
 
 // NewMachine builds the baseline executing program p with memory placed
@@ -443,38 +445,49 @@ func (m *Machine) deliver(arr bus.Arrival, now uint64) {
 	}
 }
 
+// Step implements ooo.Clocked: one machine cycle — interconnect
+// deliveries first, so they are visible to the core at the same cycle,
+// then the core.
+func (m *Machine) Step(now uint64) (committed uint64, done bool, err error) {
+	m.now = now
+	if m.core.Done() {
+		return 0, true, nil
+	}
+	for _, arr := range m.net.Tick(now) {
+		m.deliver(arr, now)
+	}
+	m.core.Cycle(now)
+	if err := m.core.Err(); err != nil {
+		return 0, false, err
+	}
+	if m.unmapped != nil {
+		return 0, false, fmt.Errorf("traditional: chip %d: %w", cpuChip, m.unmapped)
+	}
+	return m.core.Committed(), false, nil
+}
+
+// NextEvent implements ooo.Clocked: the earlier of the core's next event
+// and the interconnect's next delivery.
+func (m *Machine) NextEvent(now uint64) uint64 {
+	return min(m.core.NextEvent(now), m.net.NextDeliveryCycle(now-1))
+}
+
+// Skip implements ooo.Clocked: the core replays its stall counters; the
+// interconnect's Ticks before its next delivery are no-ops.
+func (m *Machine) Skip(now, to uint64) { m.core.Skip(now, to) }
+
 // Run executes the program to completion.
 func (m *Machine) Run() (Result, error) {
-	watchdog := m.cfg.WatchdogCycles
-	if watchdog == 0 {
-		watchdog = 2_000_000
+	cycles, err := ooo.Drive(m, m.now, m.cfg.Core.NoCycleSkip, m.cfg.WatchdogCycles)
+	if errors.Is(err, ooo.ErrNoProgress) {
+		return Result{}, fmt.Errorf("traditional: no commit progress at cycle %d (committed %d, pending bus %d)",
+			cycles, m.core.Committed(), m.net.Pending())
 	}
-	lastProgress, lastCommitted := uint64(0), uint64(0)
-	for !m.core.Done() {
-		for _, arr := range m.net.Tick(m.now) {
-			m.deliver(arr, m.now)
-		}
-		m.core.Cycle(m.now)
-		if err := m.core.Err(); err != nil {
-			return Result{}, err
-		}
-		if m.unmapped != nil {
-			return Result{}, fmt.Errorf("traditional: chip %d: %w", cpuChip, m.unmapped)
-		}
-		if c := m.core.Committed(); c != lastCommitted {
-			lastCommitted = c
-			lastProgress = m.now
-		} else if m.now-lastProgress > watchdog {
-			return Result{}, fmt.Errorf("traditional: no commit progress at cycle %d (committed %d, pending bus %d)",
-				m.now, lastCommitted, m.net.Pending())
-		}
-		m.now++
-		if !m.cfg.Core.NoCycleSkip {
-			m.skipIdle(lastProgress, watchdog)
-		}
+	if err != nil {
+		return Result{}, err
 	}
 	r := Result{
-		Cycles:       m.now,
+		Cycles:       cycles,
 		Instructions: m.core.Committed(),
 		Mem:          m.stats,
 		Core:         *m.core.Stats(),
@@ -487,43 +500,19 @@ func (m *Machine) Run() (Result, error) {
 	return r, nil
 }
 
-// skipIdle advances m.now past cycles where neither the core nor the
-// interconnect can act, exactly as core.Machine does for the DataScalar
-// machine: the core certifies its no-op stretch via NextEventCycle (stall
-// counters replayed by SkipCycles), the network via NextDeliveryCycle,
-// and the jump is capped at the first cycle the watchdog could fire.
-func (m *Machine) skipIdle(lastProgress, watchdog uint64) {
-	if m.core.Done() {
-		return
-	}
-	target := lastProgress + watchdog + 1
-	if nn := m.net.NextDeliveryCycle(m.now - 1); nn < target {
-		target = nn
-	}
-	next, ok := m.core.NextEventCycle(m.now)
-	if !ok {
-		return
-	}
-	if next < target {
-		target = next
-	}
-	if target <= m.now {
-		return
-	}
-	m.core.SkipCycles(m.now, target-m.now)
-	m.now = target
-}
-
 // RunPerfect runs program p on the same core with the paper's perfect
 // data cache (single-cycle access to any operand), optionally
 // fast-forwarded to ffPC first, and returns its result.
 func RunPerfect(coreCfg ooo.Config, p *prog.Program, maxInstr, ffPC uint64) (Result, error) {
+	if err := coreCfg.Validate(); err != nil {
+		return Result{}, fmt.Errorf("traditional: %w", err)
+	}
 	em, err := emu.NewAt(p, ffPC)
 	if err != nil {
 		return Result{}, fmt.Errorf("traditional: %w", err)
 	}
 	c := ooo.New(coreCfg, ooo.NewEmuSource(em, maxInstr), ooo.PerfectMem{})
-	cycles, err := ooo.Run(c, 0)
+	cycles, err := ooo.Drive(c, 0, coreCfg.NoCycleSkip, 0)
 	if err != nil {
 		return Result{}, err
 	}

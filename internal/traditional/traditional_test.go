@@ -1,6 +1,7 @@
 package traditional
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/wisc-arch/datascalar/internal/asm"
@@ -329,5 +330,55 @@ func TestFastForwardErrors(t *testing.T) {
 	}
 	if _, err := RunPerfect(cfg.Core, p, 0, 0xdeadbee8); err == nil {
 		t.Error("unreachable perfect fast-forward accepted")
+	}
+}
+
+// TestWatchdogSkipMatchesPoll: a watchdog shorter than a memory access
+// fires inside the first load's stall, and reports the identical cycle
+// whether the run polls the stall or skips it — the skip is capped at
+// the first cycle the watchdog could fire, not at the load's completion.
+func TestWatchdogSkipMatchesPoll(t *testing.T) {
+	const twoLoads = `
+        .data
+arr:    .space 8192
+        .text
+        la   r1, arr
+        ld   r2, 0(r1)
+        add  r1, r1, r2
+        ld   r3, 4096(r1)
+        halt
+`
+	errFor := func(noSkip bool) error {
+		m := build(t, twoLoads, 2, func(c *Config) {
+			c.Core.NoCycleSkip = noSkip
+			c.WatchdogCycles = 3
+		})
+		_, err := m.Run()
+		return err
+	}
+	skipErr, polledErr := errFor(false), errFor(true)
+	if skipErr == nil || polledErr == nil {
+		t.Fatalf("watchdog did not fire: skip=%v polled=%v", skipErr, polledErr)
+	}
+	if !strings.HasPrefix(skipErr.Error(), "traditional: no commit progress at cycle ") {
+		t.Fatalf("watchdog report %q", skipErr)
+	}
+	if skipErr.Error() != polledErr.Error() {
+		t.Fatalf("watchdog reports differ:\nskip:   %v\npolled: %v", skipErr, polledErr)
+	}
+}
+
+// TestRunPerfectInvalidConfig: an invalid core configuration is an
+// error, not a panic inside the core's constructor.
+func TestRunPerfectInvalidConfig(t *testing.T) {
+	p, err := asm.Assemble("t", streamSum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ooo.DefaultConfig()
+	cfg.RUUSize = 0
+	_, err = RunPerfect(cfg, p, 0, 0)
+	if err == nil || !strings.HasPrefix(err.Error(), "traditional: ooo: ") {
+		t.Fatalf("RunPerfect with RUUSize 0: err = %v", err)
 	}
 }

@@ -59,16 +59,14 @@ func TestRingTickZeroAllocs(t *testing.T) {
 // TestMeshTickZeroAllocs: the mesh double-buffers its branch set and
 // reuses the arrival scratch; after a warmup drain grows them (and the
 // spawn path's high-water mark), per-cycle ticking and the DataPhase
-// query must be allocation-free. Message headers are allocated in
-// Enqueue, off the per-cycle path.
+// query must be allocation-free on the ring, the mesh and the torus.
+// The query hits a live header: a broadcast held at its source by a
+// far-future ReadyAt. Message headers are allocated in Enqueue, off the
+// per-cycle path.
 func TestMeshTickZeroAllocs(t *testing.T) {
-	for _, wrap := range []bool{false, true} {
-		var ms *Mesh
-		if wrap {
-			ms = NewTorus(DefaultConfig(), 9)
-		} else {
-			ms = NewMesh(DefaultConfig(), 9)
-		}
+	const held = 0x900000
+	for _, bld := range meshBuilders {
+		ms := bld.new(DefaultConfig(), 9)
 		enqueue := func(base uint64) {
 			for i := 0; i < 64; i++ {
 				ms.Enqueue(Message{
@@ -83,13 +81,19 @@ func TestMeshTickZeroAllocs(t *testing.T) {
 		for ; now < 10_000; now++ { // warmup: drain fully, grow all buffers
 			ms.Tick(now)
 		}
+		ms.Enqueue(Message{Kind: Broadcast, Src: 0, Addr: held, PayloadBytes: 32, ReadyAt: 1 << 40})
 		enqueue(0x100000) // refill outside the measured closure
+		var phase MsgPhase
 		if allocs := testing.AllocsPerRun(10_000, func() {
 			ms.Tick(now)
+			phase = ms.DataPhase(held, 8, now)
 			ms.DataPhase(0x100040, 8, now)
 			now++
 		}); allocs != 0 {
-			t.Fatalf("wrap=%v: Mesh.Tick allocated %.3f times per cycle", wrap, allocs)
+			t.Fatalf("%s: Mesh.Tick allocated %.3f times per cycle", bld.name, allocs)
+		}
+		if phase != PhaseQueued {
+			t.Fatalf("%s: held broadcast phase = %v, want queued (the query must hit a live header)", bld.name, phase)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package bus
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 // The DataPhase tests pin the phase semantics stall attribution relies
 // on (see Network.DataPhase): where a load's data-bearing message sits,
@@ -204,4 +208,136 @@ func TestMeshDataPhaseStableUnderSkip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// meshBuilders are the three topologies the mesh model runs.
+var meshBuilders = []struct {
+	name string
+	new  func(Config, int) *Mesh
+}{{"ring", NewRing}, {"mesh", NewMesh}, {"torus", NewTorus}}
+
+// branchScanDataPhase is the reference Mesh.DataPhase answers to: the
+// binding-constraint phase of every branch of every matching message,
+// maximised over branches. A branch hopping is Transfer; a sitting
+// branch of a message not yet injected whose departure link is free by
+// its ReadyAt is Queued; any other sitting branch is Blocked.
+func branchScanDataPhase(ms *Mesh, addr uint64, dst int) MsgPhase {
+	best := PhaseAbsent
+	for i := range ms.flight {
+		b := &ms.flight[i]
+		if !dataMatch(b.m.msg, addr, dst) {
+			continue
+		}
+		var p MsgPhase
+		switch {
+		case b.inFlight:
+			p = PhaseTransfer
+		case !b.m.injected && ms.linkFree[b.at*numDirs+int(b.dir)] <= b.readyAt:
+			p = PhaseQueued
+		default:
+			p = PhaseBlocked
+		}
+		best = max(best, p)
+	}
+	return best
+}
+
+// TestMeshDataPhaseMatchesBranchScan drives randomized traffic —
+// broadcasts, bare requests, responses and payload writebacks over a few
+// shared lines, with scattered ReadyAt penalties and source purges —
+// through rings, meshes and tori. Every cycle, for every line in flight
+// and every node, the per-header DataPhase must equal the branch scan,
+// on the network itself and on a CopyStateFrom scratch ticked ahead of
+// it the way the parallel engine's predict phase does.
+func TestMeshDataPhaseMatchesBranchScan(t *testing.T) {
+	lines := []uint64{0x100, 0x120, 0x140, 0x160, 0x180}
+	var seen [PhaseTransfer + 1]int
+	check := func(t *testing.T, ms *Mesh, n int, now uint64, where string) {
+		t.Helper()
+		for _, hdr := range ms.live {
+			for dst := 0; dst < n; dst++ {
+				got, want := ms.DataPhase(hdr.msg.Addr, dst, now), branchScanDataPhase(ms, hdr.msg.Addr, dst)
+				if got != want {
+					t.Fatalf("%s cycle %d: DataPhase(%#x, %d) = %v, branch scan %v", where, now, hdr.msg.Addr, dst, got, want)
+				}
+				seen[got]++
+			}
+		}
+		if hdrs := distinctHeaders(ms); hdrs != ms.Pending() {
+			t.Fatalf("%s cycle %d: %d headers in flight, Pending %d", where, now, hdrs, ms.Pending())
+		}
+	}
+	for _, bld := range meshBuilders {
+		for _, n := range []int{2, 5, 9, 16} {
+			t.Run(fmt.Sprintf("%s%d", bld.name, n), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(n)))
+				cfg := Config{WidthBytes: 8, ClockDivisor: 2, HopCycles: 1}
+				ms := bld.new(cfg, n)
+				scratch := ms.NewScratch().(*Mesh)
+				seen = [PhaseTransfer + 1]int{}
+				purged := 0
+				for now := uint64(0); now < 2000; now++ {
+					// Bursts keep links contended; the cap keeps the
+					// backlog, and so the test, bounded.
+					if rng.Intn(8) == 0 && ms.Pending() < 24 {
+						for k := 1 + rng.Intn(4); k > 0; k-- {
+							ms.Enqueue(randomMessage(rng, n, lines, now))
+						}
+					}
+					if rng.Intn(50) == 0 {
+						purged += ms.PurgeSource(rng.Intn(n))
+					}
+					ms.Tick(now)
+					check(t, ms, n, now, "network")
+					if now%97 == 0 {
+						scratch.CopyStateFrom(ms)
+						check(t, scratch, n, now, "copy")
+						for c := now + 1; c < now+40; c++ {
+							scratch.Tick(c)
+							check(t, scratch, n, c, "copy")
+						}
+					}
+				}
+				// Every phase the header summary decides must have been
+				// compared, and some purge must have dropped a message.
+				for p := PhaseQueued; p <= PhaseTransfer; p++ {
+					if seen[p] == 0 {
+						t.Errorf("phase %v never observed", p)
+					}
+				}
+				if purged == 0 {
+					t.Error("no message was purged")
+				}
+			})
+		}
+	}
+}
+
+// randomMessage draws one message for the equivalence test: mostly
+// broadcasts, the rest point-to-point traffic, due within 30 cycles.
+func randomMessage(rng *rand.Rand, n int, lines []uint64, now uint64) Message {
+	m := Message{
+		Kind:    Broadcast,
+		Src:     rng.Intn(n),
+		Addr:    lines[rng.Intn(len(lines))],
+		ReadyAt: now + uint64(rng.Intn(30)),
+	}
+	if rng.Intn(2) == 0 {
+		m.PayloadBytes = 32
+	}
+	if rng.Intn(3) == 0 {
+		m.Kind = Request + Kind(rng.Intn(2)) // or Response
+		m.Dst = (m.Src + 1 + rng.Intn(n-1)) % n
+	}
+	return m
+}
+
+// distinctHeaders counts the message headers the branches in flight
+// share.
+func distinctHeaders(ms *Mesh) int {
+	seen := map[*meshMsg]bool{}
+	for i := range ms.flight {
+		seen[ms.flight[i].m] = true
+	}
+	return len(seen)
 }

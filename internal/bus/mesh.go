@@ -18,21 +18,30 @@ const (
 )
 
 // meshMsg is the per-message header shared by all of a message's tree
-// branches: the payload, the liveness refcount, and the column spans the
+// branches: the payload, the liveness refcount, the column spans the
 // dimension-order broadcast tree spawns at every row node (all spawning
-// nodes sit in the source's row, so the spans are fixed at enqueue).
+// nodes sit in the source's row, so the spans are fixed at enqueue), and
+// the summary DataPhase reads instead of the branches.
 type meshMsg struct {
 	msg Message
 	// branches counts live branches; the message leaves the network when
 	// it reaches zero.
 	branches int
+	// midHop counts the branches whose current hop is in progress.
+	midHop int
 	// injected marks that some branch has started its first hop (for the
-	// one-shot bus.grant observation and for PurgeSource, which drops
-	// only messages that have not touched the wire).
+	// one-shot bus.grant observation, for PurgeSource, which drops only
+	// messages that have not touched the wire, and for DataPhase).
 	injected bool
+	// srcDirs has bit d set for each branch Enqueue placed at the source
+	// heading direction d. Until injected these are the message's only
+	// branches, all sitting with the message's ReadyAt.
+	srcDirs uint8
 	// colPlus/colMinus are the +Y/-Y spans of the column branches a
 	// broadcast spawns at each row node (zero for point-to-point).
 	colPlus, colMinus int
+	// live is the header's index in Mesh.live.
+	live int
 }
 
 // meshBranch is one branch of a message's route: a point-to-point
@@ -93,22 +102,21 @@ type Mesh struct {
 	// and builds the other, because compacting in place would alias the
 	// branches it spawns mid-scan.
 	flight, next []meshBranch
-	// liveMsgs counts messages with surviving branches (Pending) and
-	// bySrc the same per source node (SourcePending).
-	liveMsgs int
-	bySrc    []int
-	stats    Stats
-	obs      obs.Observer
+	// live holds the header of every message with surviving branches, in
+	// no particular order (each header knows its index, so a message
+	// leaves in O(1)); its length is Pending. bySrc counts the same per
+	// source node (SourcePending).
+	live  []*meshMsg
+	bySrc []int
+	stats Stats
+	obs   obs.Observer
 	// arrivals is the scratch buffer Tick returns; reused so the
 	// per-cycle delivery path is allocation-free in steady state.
 	arrivals []Arrival
-	// hdrPool and hdrMap back the header values CopyStateFrom
-	// materialises, reused across copies so prediction scratchpads stay
-	// allocation-free in steady state. hdrMap is lookup-only — never
-	// iterated — so map order cannot influence the copy. Unused outside
-	// CopyStateFrom targets.
+	// hdrPool backs the header values CopyStateFrom materialises, reused
+	// across copies so prediction scratchpads stay allocation-free in
+	// steady state. Unused outside CopyStateFrom targets.
 	hdrPool []meshMsg
-	hdrMap  map[*meshMsg]*meshMsg
 }
 
 // meshDims factors n into the squarest W×H grid with W ≤ H: the largest
@@ -271,6 +279,7 @@ func (ms *Mesh) Enqueue(m Message) {
 		panic(fmt.Sprintf("mesh: bad source %d", m.Src))
 	}
 	hdr := &meshMsg{msg: m}
+	first := len(ms.flight)
 	if m.Kind == Broadcast {
 		rowPlus, rowMinus := ms.spans(m.Src%ms.w, ms.w)
 		if ms.oneWay {
@@ -293,8 +302,12 @@ func (ms *Mesh) Enqueue(m Message) {
 		hdr.branches++
 		ms.flight = append(ms.flight, meshBranch{m: hdr, at: m.Src, dir: ms.routeDir(m.Src, m.Dst), readyAt: m.ReadyAt, remaining: ms.hopCount(m.Src, m.Dst)})
 	}
+	for _, b := range ms.flight[first:] {
+		hdr.srcDirs |= 1 << b.dir
+	}
 	if hdr.branches > 0 {
-		ms.liveMsgs++
+		hdr.live = len(ms.live)
+		ms.live = append(ms.live, hdr)
 		ms.bySrc[m.Src]++
 	}
 	ms.stats.TotalQueued.Inc()
@@ -322,7 +335,19 @@ func spawnColumns(dst []meshBranch, hdr *meshMsg, at int, readyAt uint64) []mesh
 
 // Pending implements Network: messages (not branches) still on the
 // interconnect.
-func (ms *Mesh) Pending() int { return ms.liveMsgs }
+func (ms *Mesh) Pending() int { return len(ms.live) }
+
+// retire removes a message whose last branch has ended from the live
+// set, moving the last live header into its place.
+func (ms *Mesh) retire(hdr *meshMsg) {
+	last := len(ms.live) - 1
+	moved := ms.live[last]
+	ms.live[hdr.live] = moved
+	moved.live = hdr.live
+	ms.live[last] = nil
+	ms.live = ms.live[:last]
+	ms.bySrc[hdr.msg.Src]--
+}
 
 // SourcePending implements Network.
 func (ms *Mesh) SourcePending(src int) int { return ms.bySrc[src] }
@@ -341,8 +366,7 @@ func (ms *Mesh) PurgeSource(src int) int {
 			b.m.branches--
 			if b.m.branches == 0 {
 				n++
-				ms.liveMsgs--
-				ms.bySrc[src]--
+				ms.retire(b.m)
 			}
 			continue
 		}
@@ -404,70 +428,78 @@ func (ms *Mesh) NewScratch() Network {
 }
 
 // CopyStateFrom implements Network for the mesh: replicate link
-// occupancy, counters, and every branch, cloning each distinct shared
-// header exactly once so sibling branches of one broadcast keep sharing
-// a refcounted header in the copy. Header values land in a reused pool
-// whose capacity is ensured up front (distinct headers never outnumber
-// branches), so the pointers handed out stay stable.
+// occupancy, counters, every live header and every branch, repointing
+// each branch at its header's copy (found by the header's live index)
+// so sibling branches of one broadcast keep sharing a refcounted header
+// in the copy. Header values land in a reused pool sized up front, so
+// the pointers handed out stay stable.
 func (ms *Mesh) CopyStateFrom(src Network) {
 	s := src.(*Mesh)
 	copy(ms.linkFree, s.linkFree)
 	copy(ms.bySrc, s.bySrc)
-	ms.liveMsgs = s.liveMsgs
-	if cap(ms.hdrPool) < len(s.flight) {
-		ms.hdrPool = make([]meshMsg, 0, len(s.flight))
+	if cap(ms.hdrPool) < len(s.live) {
+		ms.hdrPool = make([]meshMsg, len(s.live))
 	}
-	ms.hdrPool = ms.hdrPool[:0]
-	if ms.hdrMap == nil {
-		ms.hdrMap = make(map[*meshMsg]*meshMsg, len(s.flight))
+	ms.hdrPool = ms.hdrPool[:len(s.live)]
+	for i := len(s.live); i < len(ms.live); i++ {
+		ms.live[i] = nil
 	}
-	clear(ms.hdrMap)
+	ms.live = ms.live[:0]
+	for i, hdr := range s.live {
+		ms.hdrPool[i] = *hdr
+		ms.live = append(ms.live, &ms.hdrPool[i])
+	}
 	for i := len(s.flight); i < len(ms.flight); i++ {
 		ms.flight[i] = meshBranch{}
 	}
 	ms.flight = ms.flight[:0]
 	for _, b := range s.flight {
-		hdr, ok := ms.hdrMap[b.m]
-		if !ok {
-			ms.hdrPool = append(ms.hdrPool, *b.m)
-			hdr = &ms.hdrPool[len(ms.hdrPool)-1]
-			ms.hdrMap[b.m] = hdr
-		}
-		b.m = hdr
+		b.m = ms.live[b.m.live]
 		ms.flight = append(ms.flight, b)
 	}
 }
 
-// DataPhase implements Network with binding-constraint semantics: any
-// branch of a matching message on the wire is Transfer; a tree not yet
-// injected whose own readiness is the binding constraint (its departure
-// link already free by then) is Queued; anything else waits behind
-// other traffic — Blocked. All inputs are frozen across any stretch
-// NextDeliveryCycle certifies as no-ops, so attribution cannot flip
-// inside a skipped stretch.
+// DataPhase implements Network with binding-constraint semantics: a
+// matching message with a hop on the wire is Transfer; a tree not yet
+// injected whose own readiness is the binding constraint (every
+// departure link it uses already free by then) is Queued; anything
+// else waits behind other traffic — Blocked. It reads each live
+// header's summary, never its branches, and the answer is the maximum
+// a scan of every matching branch would give: a sitting branch of an
+// injected message is Blocked, and before injection every branch sits
+// at the source with the message's ReadyAt, on a link srcDirs names.
+// All inputs are frozen across any stretch NextDeliveryCycle certifies
+// as no-ops, so attribution cannot flip inside a skipped stretch.
 //
 //dsvet:hotpath
 func (ms *Mesh) DataPhase(addr uint64, dst int, now uint64) MsgPhase {
 	best := PhaseAbsent
-	for i := range ms.flight {
-		b := &ms.flight[i]
-		if !dataMatch(b.m.msg, addr, dst) {
+	for _, hdr := range ms.live {
+		if !dataMatch(hdr.msg, addr, dst) {
 			continue
 		}
-		var p MsgPhase
 		switch {
-		case b.inFlight:
-			p = PhaseTransfer
-		case !b.m.injected && ms.linkFree[b.at*numDirs+int(b.dir)] <= b.readyAt:
-			p = PhaseQueued
+		case hdr.midHop > 0:
+			return PhaseTransfer
+		case !hdr.injected && ms.srcLinksFree(hdr):
+			best = max(best, PhaseQueued)
 		default:
-			p = PhaseBlocked
-		}
-		if p > best {
-			best = p
+			best = PhaseBlocked
 		}
 	}
 	return best
+}
+
+// srcLinksFree reports whether every source link an uninjected
+// message's branches will leave on is free by the message's ReadyAt.
+func (ms *Mesh) srcLinksFree(hdr *meshMsg) bool {
+	links := ms.linkFree[hdr.msg.Src*numDirs : (hdr.msg.Src+1)*numDirs]
+	for d, free := range links {
+		if hdr.srcDirs&(1<<d) != 0 && free > hdr.msg.ReadyAt {
+			return false
+		}
+	}
+	return true
 }
 
 // Tick implements Network. Each branch alternates between completing a
@@ -490,6 +522,7 @@ func (ms *Mesh) Tick(now uint64) []Arrival {
 		// Complete an in-progress hop whose transfer has finished.
 		if b.inFlight && b.readyAt <= now {
 			b.inFlight = false
+			b.m.midHop--
 			b.remaining--
 			if b.m.msg.Kind == Broadcast {
 				// Tree branches deliver at every node they reach. Only
@@ -510,8 +543,7 @@ func (ms *Mesh) Tick(now uint64) []Arrival {
 			if b.remaining == 0 {
 				b.m.branches--
 				if b.m.branches == 0 {
-					ms.liveMsgs--
-					ms.bySrc[b.m.msg.Src]--
+					ms.retire(b.m)
 				}
 				continue // branch done
 			}
@@ -538,6 +570,7 @@ func (ms *Mesh) Tick(now uint64) []Arrival {
 				b.at = ms.neighbor(b.at, b.dir)
 				b.readyAt = now + occ
 				b.inFlight = true
+				b.m.midHop++
 			}
 		}
 		kept = append(kept, b)

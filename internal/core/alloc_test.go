@@ -3,6 +3,9 @@ package core
 import (
 	"runtime"
 	"testing"
+
+	"github.com/wisc-arch/datascalar/internal/bus"
+	"github.com/wisc-arch/datascalar/internal/obs"
 )
 
 // allocStream is streamSum with an outer repeat: long enough that the
@@ -55,4 +58,38 @@ func TestMachineRunSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("observer-off Machine.Run allocated %.4f times per cycle (%d allocs over %d cycles); want ~0",
 			perCycle, allocs, r.Cycles)
 	}
+}
+
+// TestClassifyLoadZeroAllocs: stall attribution classifies the head
+// load on every stalled node-cycle, so ClassifyLoad must not allocate.
+// The guard steps a 4-node mesh machine to the first cycle some node
+// holds a load waiting on a broadcast the interconnect carries, and
+// classifies that load there: the slot lookup, the episode, and the
+// mesh's DataPhase over its live headers.
+func TestClassifyLoadZeroAllocs(t *testing.T) {
+	m := buildMachine(t, streamSum, 4, func(c *Config) { c.Topology.Kind = bus.TopoMesh })
+	for now := uint64(0); now < 100_000; now++ {
+		if _, done, err := m.Step(now); done || err != nil {
+			t.Fatalf("cycle %d: done=%v err=%v before any load waited on a broadcast", now, done, err)
+		}
+		for _, nd := range m.nodes {
+			for i := range nd.loads {
+				s := &nd.loads[i]
+				if !s.live || s.e == nil || !s.e.pending || m.net.DataPhase(s.e.line, nd.id, now) == bus.PhaseAbsent {
+					continue
+				}
+				var kind obs.StallKind
+				if allocs := testing.AllocsPerRun(1000, func() {
+					kind = nd.ClassifyLoad(now, s.tok, s.e.line)
+				}); allocs != 0 {
+					t.Fatalf("ClassifyLoad allocated %.2f times per call", allocs)
+				}
+				if kind != obs.StallNetContention && kind != obs.StallESPSerial && kind != obs.StallMemRemote {
+					t.Fatalf("load waiting on a broadcast classified %v", kind)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no load waited on a broadcast in flight")
 }

@@ -278,7 +278,7 @@ func NewMachine(cfg Config, p *prog.Program, pt *mem.PageTable) (*Machine, error
 			pt:          pt,
 			net:         m.net,
 			outstanding: make(map[uint64]*missEntry),
-			inflight:    make(map[ooo.LoadToken]issueInfo),
+			loads:       make([]loadSlot, cfg.Core.RUUSize),
 			digests:     make(map[uint64]uint64),
 		}
 		nd.m = m

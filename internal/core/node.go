@@ -80,11 +80,20 @@ type missEntry struct {
 	claimed bool
 }
 
-// issueInfo remembers the issue-time event of an in-flight load so the
-// commit-time handler can detect false hits and false misses.
-type issueInfo struct {
-	hit      bool
-	attached bool // holds a reference on the line's missEntry
+// loadSlot remembers the issue-time event of an in-flight load so the
+// commit-time handler can detect false hits and false misses, and stall
+// attribution can find the load's miss episode without a lookup. A node
+// keeps one slot per RUU entry, indexed by token mod RUU size: a token
+// is its load's seq and every live load sits in the window, so two live
+// loads never share a slot.
+type loadSlot struct {
+	// tok is the load the slot was last filled for; live is cleared when
+	// that load commits. A slot whose token differs is stale.
+	tok  ooo.LoadToken
+	live bool
+	// e is the miss episode the load holds a reference on; nil for an
+	// issue-time hit.
+	e *missEntry
 }
 
 // node is one DataScalar chip: core + emulator + L1 tags + local memory +
@@ -117,7 +126,8 @@ type node struct {
 	// missFree recycles missEntry records: steady state opens and closes
 	// miss episodes constantly, and reuse keeps that off the allocator.
 	missFree []*missEntry
-	inflight map[ooo.LoadToken]issueInfo
+	// loads holds the in-flight loads' issue-time records (see loadSlot).
+	loads []loadSlot
 
 	// bcastSeq numbers this node's broadcasts; the fault plan keys its
 	// injection decisions on (src, dst, line, seq), a stable identity
@@ -165,22 +175,39 @@ type nodeNet interface {
 	DataPhase(addr uint64, dst int, now uint64) bus.MsgPhase
 }
 
+// trackLoad records an issued load's slot: e is the miss episode it
+// attached to, nil for an issue-time hit.
+func (n *node) trackLoad(tok ooo.LoadToken, e *missEntry) {
+	n.loads[uint64(tok)%uint64(len(n.loads))] = loadSlot{tok: tok, live: true, e: e}
+}
+
+// inflight returns tok's slot, or nil when tok is not an issued,
+// uncommitted load.
+func (n *node) inflight(tok ooo.LoadToken) *loadSlot {
+	s := &n.loads[uint64(tok)%uint64(len(n.loads))]
+	if !s.live || s.tok != tok {
+		return nil
+	}
+	return s
+}
+
 // ClassifyLoad implements ooo.LoadClassifier: it names the leaf cause
 // blocking an in-flight load that heads the window. The answer is a pure
 // function of frozen protocol state (the miss episode, the BSHR's retry
 // counters, and the interconnect's message positions), so it is constant
 // across any stretch the next-event scheduler skips — the property the
-// skip/noskip CPI differential relies on.
-func (n *node) ClassifyLoad(now uint64, tok ooo.LoadToken, addr uint64) obs.StallKind {
-	info, ok := n.inflight[tok]
-	if !ok || info.hit {
+// skip/noskip CPI differential relies on. It runs on every stalled
+// node-cycle, so it reaches the episode through the load's slot, with
+// no lookup.
+//
+//dsvet:hotpath
+func (n *node) ClassifyLoad(now uint64, tok ooo.LoadToken, _ uint64) obs.StallKind {
+	s := n.inflight(tok)
+	if s == nil || s.e == nil {
 		// An issue-time hit completing its load-to-use latency.
 		return obs.StallExec
 	}
-	e, ok := n.outstanding[n.l1.LineAddr(addr)]
-	if !ok {
-		return obs.StallExec
-	}
+	e := s.e
 	if !e.pending {
 		// Known completion cycle: either the local bank is serving the
 		// miss, or a broadcast already landed and the load is paying the
@@ -231,7 +258,7 @@ func (n *node) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) (
 		n.stats.IssueMisses.Inc()
 		n.stats.MergedMisses.Inc()
 		n.obsEvent(obs.EvMissFold, line, uint64(e.refs))
-		n.inflight[tok] = issueInfo{hit: false, attached: true}
+		n.trackLoad(tok, e)
 		e.refs++
 		if e.pending {
 			// Join the BSHR wait for the episode's broadcast.
@@ -248,7 +275,7 @@ func (n *node) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) (
 	// Issue-time tag probe against committed state.
 	if n.l1.Probe(addr) {
 		n.stats.IssueHits.Inc()
-		n.inflight[tok] = issueInfo{hit: true}
+		n.trackLoad(tok, nil)
 		return now + n.cfg.L1HitCycles, false
 	}
 	pe, ok := n.pt.Lookup(addr)
@@ -257,7 +284,6 @@ func (n *node) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) (
 		return now + n.cfg.L1HitCycles, false
 	}
 	n.stats.IssueMisses.Inc()
-	n.inflight[tok] = issueInfo{hit: false, attached: true}
 
 	var e *missEntry
 	if k := len(n.missFree); k > 0 {
@@ -268,6 +294,7 @@ func (n *node) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) (
 		e = &missEntry{line: line, refs: 1}
 	}
 	n.outstanding[line] = e
+	n.trackLoad(tok, e)
 
 	if pe.Owns(n.id) {
 		// Local memory has the line (replicated page, or this node owns
@@ -304,11 +331,14 @@ func (n *node) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) (
 // CommitLoad implements ooo.MemPort: the commit-time tag update (DCUB
 // drain) plus false hit/miss detection.
 func (n *node) CommitLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) {
-	info, ok := n.inflight[tok]
-	if !ok {
+	slot := n.inflight(tok)
+	if slot == nil {
 		panic(fmt.Sprintf("core: node %d: commit of unknown load token %d", n.id, tok))
 	}
-	delete(n.inflight, tok)
+	slot.live = false
+	// attached is the episode the load holds a reference on; e is the
+	// line's open episode, which a hit can find opened by a later miss.
+	attached, hit := slot.e, slot.e == nil
 	line := n.l1.LineAddr(addr)
 
 	e := n.outstanding[line]
@@ -316,13 +346,13 @@ func (n *node) CommitLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) 
 	if n.l1.Probe(addr) {
 		// Commit-time hit: refresh recency only.
 		n.l1.Touch(addr, false)
-		if !info.hit {
+		if !hit {
 			// False miss: the issue-time miss was folded into (or
 			// created) an episode whose fill already committed.
 			n.stats.FalseMisses.Inc()
 			n.obsEvent(obs.EvFalseMiss, line, 0)
 		}
-		n.release(e, line, info)
+		n.release(attached, line)
 		n.afterMemCommit(now, addr)
 		return
 	}
@@ -331,7 +361,7 @@ func (n *node) CommitLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) 
 	// reaches the same conclusion here (the committed prefix is
 	// identical), so every node fills, the owner must have one broadcast
 	// in flight for this fill, and non-owners must consume one.
-	if info.hit {
+	if hit {
 		n.stats.FalseHits.Inc()
 		n.obsEvent(obs.EvFalseHit, line, 0)
 	}
@@ -367,15 +397,15 @@ func (n *node) CommitLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) 
 	if res.Writeback {
 		n.disposeWriteback(now, res.WritebackAddr)
 	}
-	n.release(e, line, info)
+	n.release(attached, line)
 	n.afterMemCommit(now, addr)
 }
 
-// release drops the committing load's reference on its DCUB entry,
-// freeing the entry when the last attached load commits (the paper's
-// deallocation rule).
-func (n *node) release(e *missEntry, line uint64, info issueInfo) {
-	if !info.attached || e == nil {
+// release drops the committing load's reference on its DCUB entry e (nil
+// for an issue-time hit, which holds none), freeing the entry when the
+// last attached load commits (the paper's deallocation rule).
+func (n *node) release(e *missEntry, line uint64) {
+	if e == nil {
 		return
 	}
 	e.refs--

@@ -244,3 +244,37 @@ func TestDigestSamplingDisabled(t *testing.T) {
 		t.Fatal("report non-empty for a passing run")
 	}
 }
+
+// TestCorrespondenceCheckFires: the correspondence check that every
+// protocol test relies on must be able to fail. A clean line of a page
+// the program never touches is planted in node 1's tags mid-run, while
+// streamSum's write pass (write-no-allocate, so no fills) keeps every
+// cache empty; timing is unaffected, but node 1's sampled digests
+// disagree with node 0's from the next milestone on. The run must report
+// CorrespondenceOK false, and the report must name that milestone.
+func TestCorrespondenceCheckFires(t *testing.T) {
+	m := buildMachine(t, streamSum, 2, nil)
+	victim := m.nodes[1]
+	now := uint64(0)
+	for ; victim.memCommits < 1000; now++ {
+		if _, done, err := m.Step(now); done || err != nil {
+			t.Fatalf("cycle %d: done=%v err=%v before the corruption point", now, done, err)
+		}
+	}
+	m.now = now
+	victim.l1.Fill(0x7ff00000, false)
+	iv := m.cfg.DigestInterval
+	want := (victim.memCommits/iv + 1) * iv
+
+	r, err := m.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if r.CorrespondenceOK {
+		t.Fatal("CorrespondenceOK = true with node 1's tags corrupted")
+	}
+	report := m.CorrespondenceReport()
+	if !strings.Contains(report, fmt.Sprintf("first digest mismatch at memCommits=%d", want)) {
+		t.Fatalf("report does not name milestone %d:\n%s", want, report)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -76,5 +77,64 @@ func TestCycleSkipPreservesDeadlockCycle(t *testing.T) {
 	}
 	if skipErr.Error() != polledErr.Error() {
 		t.Fatalf("deadlock reports differ:\nskip:   %v\npolled: %v", skipErr, polledErr)
+	}
+}
+
+// TestWatchdogCapsSkips: a watchdog shorter than a memory access fires
+// inside the first load's stall, so the stretch the scheduler would skip
+// runs past the first cycle the watchdog could fire. Drive's jump and
+// the parallel barrier's jump are both capped at that cycle, so the
+// serial skipped, serial polled and two-worker runs must all report the
+// deadlock at the same cycle with the same snapshot, and must have
+// charged every node the same cycles: an uncapped parallel jump still
+// reports the capped cycle, but only after charging the stall it
+// skipped.
+func TestWatchdogCapsSkips(t *testing.T) {
+	const twoLoads = `
+        .data
+arr:    .space 8192
+        .text
+        la   r1, arr
+        ld   r2, 0(r1)
+        add  r1, r1, r2
+        ld   r3, 4096(r1)
+        halt
+`
+	type abort struct {
+		err    *DeadlockError
+		stacks []obs.CPIStack
+	}
+	run := func(noSkip bool, parallel int) abort {
+		m := buildMachine(t, twoLoads, 2, func(c *Config) {
+			c.Core.NoCycleSkip = noSkip
+			c.ParallelNodes = parallel
+			c.WatchdogCycles = 3
+		})
+		_, err := m.Run()
+		var a abort
+		if !errors.As(err, &a.err) {
+			t.Fatalf("noSkip=%v parallel=%d: err = %v, want a deadlock report", noSkip, parallel, err)
+		}
+		for _, nd := range m.nodes {
+			a.stacks = append(a.stacks, *nd.core.CPIStack())
+		}
+		return a
+	}
+	polled := run(true, 1)
+	for _, r := range []struct {
+		name string
+		abort
+	}{
+		{"serial skipped", run(false, 1)},
+		{"parallel", run(false, 2)},
+	} {
+		if r.err.Cycle != polled.err.Cycle || r.err.Error() != polled.err.Error() {
+			t.Errorf("%s run reports the deadlock at cycle %d, polled at %d:\n%s:\n%v\npolled:\n%v",
+				r.name, r.err.Cycle, polled.err.Cycle, r.name, r.err, polled.err)
+		}
+		if !reflect.DeepEqual(r.stacks, polled.stacks) {
+			t.Errorf("%s run charged different cycles before the abort:\n%s: %v\npolled: %v",
+				r.name, r.name, r.stacks, polled.stacks)
+		}
 	}
 }

@@ -14,7 +14,6 @@ package cache
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/bits"
 
 	"github.com/wisc-arch/datascalar/internal/obs"
@@ -126,6 +125,9 @@ type Cache struct {
 	lineLg2 uint
 	setMask uint64
 	stats   Stats
+	// order is StateDigest's per-set recency sort buffer: one entry per
+	// way, as every set has Assoc ways.
+	order []int
 
 	// Observability (nil obs = disabled, zero cost): the owning machine
 	// attributes events to a node and supplies its cycle clock.
@@ -171,6 +173,7 @@ func New(cfg Config) *Cache {
 		sets:    sets,
 		lineLg2: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setMask: uint64(n - 1),
+		order:   make([]int, cfg.Assoc),
 	}
 }
 
@@ -351,25 +354,22 @@ func (c *Cache) Contents() map[uint64]bool {
 // performed different numbers of probes). Two caches with equal digests
 // make identical future replacement decisions — the cache-correspondence
 // invariant DataScalar nodes must maintain at commit points.
+//
+// The digest is FNV-1a 64 over little-endian 64-bit words, computed
+// inline over a sort buffer the cache owns, so a call allocates nothing.
+//
+//dsvet:hotpath
 func (c *Cache) StateDigest() uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 8)
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf)
-	}
-	order := make([]int, 0, c.cfg.Assoc)
+	h := uint64(fnvOffset64)
+	order := c.order
 	for si, set := range c.sets {
-		put(uint64(si))
+		h = fnvWord(h, uint64(si))
 		// Sort way indices by recency (oldest first) via selection; assoc
-		// is tiny so O(a^2) is fine and allocation-free.
-		order = order[:0]
-		for i := range set {
-			order = append(order, i)
+		// is tiny so O(a^2) is fine.
+		for i := range order {
+			order[i] = i
 		}
-		for i := 0; i < len(order); i++ {
+		for i := range order {
 			minI := i
 			for j := i + 1; j < len(order); j++ {
 				if set[order[j]].lru < set[order[minI]].lru {
@@ -379,19 +379,36 @@ func (c *Cache) StateDigest() uint64 {
 			order[i], order[minI] = order[minI], order[i]
 		}
 		for _, wi := range order {
-			w := set[wi]
+			w := &set[wi]
 			if !w.valid {
-				put(0)
+				h = fnvWord(h, 0)
 				continue
 			}
-			put(1)
-			put(w.tag)
+			h = fnvWord(h, 1)
+			h = fnvWord(h, w.tag)
 			if w.dirty {
-				put(1)
+				h = fnvWord(h, 1)
 			} else {
-				put(0)
+				h = fnvWord(h, 0)
 			}
 		}
 	}
-	return h.Sum64()
+	return h
+}
+
+// FNV-1a 64-bit parameters (the hash/fnv New64a constants).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord folds v's eight bytes, least significant first, into FNV-1a
+// state h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
+	}
+	return h
 }

@@ -282,3 +282,39 @@ func TestLineAddr(t *testing.T) {
 		t.Fatalf("LineAddr = 0x%x", c.LineAddr(0x1234))
 	}
 }
+
+// digestFixture drives a fixed fill/touch/dirty sequence through a
+// 4-way cache: evictions, recency reorderings, dirty and clean ways, and
+// empty ways in untouched sets all reach the digest.
+func digestFixture() *Cache {
+	c := New(Config{Name: "d", SizeBytes: 1024, LineBytes: 32, Assoc: 4, Alloc: WriteAllocate})
+	for i := uint64(0); i < 6; i++ {
+		c.Fill(i*0x100, i%2 == 1)
+	}
+	c.Touch(0x0200, true)
+	c.Touch(0x0300, false)
+	c.Access(0x0520, true)
+	c.Access(0x0040, false)
+	c.Fill(0x0600, false)
+	return c
+}
+
+// TestStateDigestPinned pins the digest of digestFixture: nodes compare
+// digests with each other and CorrespondenceReport prints them, so the
+// hash (FNV-1a 64 over the little-endian words of each set) must never
+// change value.
+func TestStateDigestPinned(t *testing.T) {
+	const want = uint64(0x900b0afa5b7b6d5e)
+	if got := digestFixture().StateDigest(); got != want {
+		t.Fatalf("StateDigest = %#x, want %#x", got, want)
+	}
+}
+
+// TestStateDigestZeroAllocs guards the correspondence sampler: every
+// node digests its L1 every DigestInterval committed memory operations.
+func TestStateDigestZeroAllocs(t *testing.T) {
+	c := digestFixture()
+	if n := testing.AllocsPerRun(100, func() { c.StateDigest() }); n != 0 {
+		t.Fatalf("StateDigest allocates %.1f times per call", n)
+	}
+}

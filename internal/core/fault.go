@@ -112,10 +112,11 @@ func (m *Machine) FaultStats() *fault.Stats {
 func (m *Machine) nodeDead(id int) bool { return m.fault != nil && m.fault.dead[id] }
 
 // maybeKill executes every scheduled death the clock has reached: the
-// node's core freezes (never cycled again), its unsent interconnect
-// traffic is purged, and all future arrivals to it are discarded. A
-// kill that drops the live count below the minimum quorum arms a
-// ClassQuorumLoss report — graceful degradation ran out of nodes.
+// node's core freezes (never cycled again), its stream reader closes (so
+// it no longer holds the instruction ring's tail back), its unsent
+// interconnect traffic is purged, and all future arrivals to it are
+// discarded. A kill that drops the live count below the minimum quorum
+// arms a ClassQuorumLoss report — graceful degradation ran out of nodes.
 func (m *Machine) maybeKill() {
 	fs := m.fault
 	for fs.nextDeath < len(fs.schedule) && fs.schedule[fs.nextDeath].Cycle <= m.now {
@@ -133,6 +134,7 @@ func (m *Machine) killNode(id int) {
 	fs := m.fault
 	fs.dead[id] = true
 	fs.liveCount--
+	m.nodes[id].reader.closed = true
 	purged := m.net.PurgeSource(id)
 	if !fs.stats.NodeDied {
 		// Legacy scalar view: the first death of the schedule.
@@ -223,7 +225,7 @@ func (m *Machine) handleFaultArrival(nd *node, msg bus.Message) bool {
 			fs.flippedAt[nd.id] = m.now + 1
 		}
 		fs.flipCount[nd.id]++
-		// The timing model carries no payload (each node's emulator
+		// The timing model carries no payload (the machine's one emulator
 		// computes every value), so the corruption is modeled as a taint
 		// on the victim's commit fingerprint: visible to the fingerprint
 		// exchange, invisible otherwise — exactly a silent data error.

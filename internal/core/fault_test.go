@@ -41,11 +41,14 @@ var faultKernels = []struct {
 	{"gatherLoads", gatherLoads, 0.05},
 }
 
-// archState snapshots the registers that carry each kernel's results.
-func archState(m *Machine, node int) [8]uint64 {
+// archState snapshots the registers that carry each kernel's results,
+// after checking that every live node read the whole instruction stream.
+func archState(t testing.TB, m *Machine) [8]uint64 {
+	t.Helper()
+	checkStreamConsumed(t, m)
 	var out [8]uint64
 	for i := range out {
-		out[i] = m.NodeEmu(node).Reg(uint8(i + 1))
+		out[i] = m.Emu().Reg(uint8(i + 1))
 	}
 	return out
 }
@@ -118,7 +121,7 @@ func TestDropRecovery(t *testing.T) {
 			if r.Instructions != cleanRes.Instructions {
 				t.Fatalf("committed work changed: %d vs clean %d", r.Instructions, cleanRes.Instructions)
 			}
-			if got, want := archState(m, 0), archState(clean, 0); got != want {
+			if got, want := archState(t, m), archState(t, clean); got != want {
 				t.Fatalf("architectural results corrupted: %v vs clean %v", got, want)
 			}
 			if r.Fault.MeanDetectLatency() <= 0 {
@@ -210,7 +213,7 @@ func TestDeathRecovery(t *testing.T) {
 	if r.Instructions != cleanRes.Instructions {
 		t.Fatalf("degraded run committed %d instructions, clean %d", r.Instructions, cleanRes.Instructions)
 	}
-	if got, want := archState(m, 0), archState(clean, 0); got != want {
+	if got, want := archState(t, m), archState(t, clean); got != want {
 		t.Fatalf("architectural results corrupted: %v vs clean %v", got, want)
 	}
 }
@@ -408,7 +411,7 @@ func TestCascadeRecovery(t *testing.T) {
 	if r.Instructions != cleanRes.Instructions {
 		t.Fatalf("committed work changed: %d vs clean %d", r.Instructions, cleanRes.Instructions)
 	}
-	if got, want := archState(m, 0), archState(clean, 0); got != want {
+	if got, want := archState(t, m), archState(t, clean); got != want {
 		t.Fatalf("architectural results corrupted: %v vs clean %v", got, want)
 	}
 }
@@ -519,7 +522,7 @@ func TestCascade64Mesh(t *testing.T) {
 	if r.Instructions != cleanRes.Instructions {
 		t.Fatalf("committed work changed: %d vs clean %d", r.Instructions, cleanRes.Instructions)
 	}
-	if got, want := archState(m, 0), archState(clean, 0); got != want {
+	if got, want := archState(t, m), archState(t, clean); got != want {
 		t.Fatalf("architectural state diverged: %v vs clean %v", got, want)
 	}
 

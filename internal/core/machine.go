@@ -47,10 +47,10 @@ type Config struct {
 	// MaxInstr bounds each node's dynamic instruction count (0 = run to
 	// completion).
 	MaxInstr uint64
-	// FastForwardPC functionally executes each node's emulator up to this
-	// PC before timing begins (0 = none), skipping initialization phases
-	// — the experiment harness points it at the kernels' bench_main
-	// label. All nodes fast-forward identically.
+	// FastForwardPC functionally executes the machine's emulator up to
+	// this PC before timing begins (0 = none), skipping initialization
+	// phases — the experiment harness points it at the kernels'
+	// bench_main label. Every node's stream starts there.
 	FastForwardPC uint64
 	// WatchdogCycles aborts the run when no node commits for this many
 	// cycles (0 = default). A firing watchdog indicates a protocol
@@ -201,6 +201,10 @@ type Machine struct {
 	// fault is the resilience layer's state; nil when Config.Fault is
 	// disabled, and every hook guards on that nil.
 	fault *faultState
+
+	// stream is the machine's one functional emulator and the ring of
+	// dynamic instructions every node reads.
+	stream *stream
 }
 
 // samplerState tracks previous-interval counter values so samples report
@@ -253,25 +257,20 @@ func NewMachine(cfg Config, p *prog.Program, pt *mem.PageTable) (*Machine, error
 			m.sampler = &samplerState{nodes: make([]nodeSampleState, cfg.Nodes)}
 		}
 	}
-	// Every node fast-forwards through the identical initialization, so
-	// run it once and clone the result per node instead of re-executing
-	// up to 200M warmup instructions N times — at N=256 that is the
-	// difference between seconds and hours of machine construction.
-	// Cloning is bit-exact, so per-node re-execution would build the
-	// same machine.
+	// Every node executes the identical instruction stream and no node's
+	// timing feeds a value back to the emulator, so the machine runs one
+	// fast-forwarded emulator and each node reads its output through a
+	// private cursor (stream.go).
 	master, err := emu.NewAt(p, cfg.FastForwardPC)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	m.stream = newStream(master, cfg.MaxInstr)
 	for id := 0; id < cfg.Nodes; id++ {
-		em := master
-		if id > 0 {
-			em = master.Clone()
-		}
 		nd := &node{
 			id:          id,
 			cfg:         &m.cfg,
-			emu:         em,
+			reader:      m.stream.reader(id),
 			l1:          cache.New(cfg.L1),
 			dram:        mem.NewDRAM(cfg.DRAM),
 			bshr:        NewBSHR(cfg.BSHRBufferCap),
@@ -291,7 +290,7 @@ func NewMachine(cfg Config, p *prog.Program, pt *mem.PageTable) (*Machine, error
 			nd.bshr.SetObserver(m.obs, id, &m.now)
 			nd.l1.SetObserver(m.obs, id, &m.now)
 		}
-		var source ooo.Source = ooo.NewEmuSource(em, cfg.MaxInstr)
+		var source ooo.Source = nd.reader
 		if cfg.ResultComm {
 			source = &regionSource{
 				inner:   source,
@@ -691,6 +690,7 @@ func (m *Machine) checkCorrespondence() bool {
 	return true
 }
 
-// NodeEmu returns node i's functional emulator (tests use it to verify
-// architectural results).
-func (m *Machine) NodeEmu(i int) *emu.Machine { return m.nodes[i].emu }
+// Emu returns the machine's functional emulator, the one every node's
+// instruction stream comes from (tests use it to verify architectural
+// results).
+func (m *Machine) Emu() *emu.Machine { return m.stream.em }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/wisc-arch/datascalar/internal/bus"
 	"github.com/wisc-arch/datascalar/internal/cache"
-	"github.com/wisc-arch/datascalar/internal/emu"
 	"github.com/wisc-arch/datascalar/internal/fault"
 	"github.com/wisc-arch/datascalar/internal/mem"
 	"github.com/wisc-arch/datascalar/internal/obs"
@@ -96,9 +95,9 @@ type loadSlot struct {
 	e *missEntry
 }
 
-// node is one DataScalar chip: core + emulator + L1 tags + local memory +
-// BSHR + broadcast queue, sharing the global bus and page table with its
-// peers.
+// node is one DataScalar chip: core + instruction-stream cursor + L1
+// tags + local memory + BSHR + broadcast queue, sharing the global bus,
+// the page table and the machine's one emulator with its peers.
 type node struct {
 	id  int
 	cfg *Config
@@ -114,7 +113,9 @@ type node struct {
 	// m.now, so a shared stamp would be both wrong and racy).
 	clock *uint64
 
-	emu  *emu.Machine
+	// reader is the node's cursor into the machine's instruction stream.
+	reader *streamReader
+
 	core *ooo.Core
 	l1   *cache.Cache
 	dram *mem.DRAM

@@ -25,6 +25,9 @@ package core
 //  1. Predict: copy the real interconnect into an observer-free scratch
 //     (Network.NewScratch/CopyStateFrom) and tick it across the window,
 //     recording every arrival with its cycle and within-cycle position.
+//     Before that, the coordinator extends the machine's instruction
+//     ring far enough for every node's whole window (stream.fill), so
+//     workers only read it and never step the shared emulator.
 //  2. Execute: workers advance their nodes cycle by cycle to the
 //     horizon with the serial loop's node step (node.cycle), handing
 //     predicted arrivals to its arrival handler (node.deliver) at the
@@ -218,6 +221,10 @@ func newParRunner(m *Machine) *parRunner {
 		senderFloor = 1
 	}
 	p.window = senderFloor + m.net.Lookahead()
+	// Workers only read the instruction ring: the coordinator fills it
+	// before each window (runParallel), and a reader that still reaches
+	// the head fails instead of stepping the emulator.
+	m.stream.sealed = true
 	for _, nd := range m.nodes {
 		pn := &parNode{nd: nd}
 		nd.net = pn
@@ -270,6 +277,7 @@ func (p *parRunner) shutdown() {
 		close(w.start)
 	}
 	m := p.m
+	m.stream.sealed = false
 	for _, nd := range m.nodes {
 		nd.net = p.net
 		nd.clock = &m.now
@@ -479,6 +487,8 @@ func (m *Machine) runParallel() error {
 			}
 		}
 
+		// dispatch pulls at most FetchWidth instructions a cycle.
+		m.stream.fill((h - t) * uint64(m.cfg.Core.FetchWidth))
 		p.predict(t, h)
 		for _, w := range p.workers {
 			w.start <- parWindow{t: t, h: h}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/wisc-arch/datascalar/internal/asm"
 	"github.com/wisc-arch/datascalar/internal/mem"
+	"github.com/wisc-arch/datascalar/internal/obs"
 )
 
 // privateReduction sums blocks of an array inside PRIVB/PRIVE regions —
@@ -63,6 +65,13 @@ tot:    ld   r4, 0(r11)
 
 func runResultComm(t *testing.T, nodes int, enable bool) (Result, *Machine) {
 	t.Helper()
+	return runResultCommWith(t, nodes, func(c *Config) { c.ResultComm = enable })
+}
+
+// runResultCommWith runs privateReduction on an n-node machine whose
+// configuration mut adjusts.
+func runResultCommWith(t *testing.T, nodes int, mut func(*Config)) (Result, *Machine) {
+	t.Helper()
 	p, err := asm.Assemble("rc", privateReduction)
 	if err != nil {
 		t.Fatal(err)
@@ -74,17 +83,17 @@ func runResultComm(t *testing.T, nodes int, enable bool) (Result, *Machine) {
 	cfg := DefaultConfig(nodes)
 	cfg.WatchdogCycles = 500_000
 	cfg.FastForwardPC = p.Labels["bench_main"]
-	cfg.ResultComm = enable
+	mut(&cfg)
 	m, err := NewMachine(cfg, p, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r, err := m.Run()
 	if err != nil {
-		t.Fatalf("resultComm=%v: %v", enable, err)
+		t.Fatalf("resultComm=%v parallel=%d: %v", cfg.ResultComm, cfg.ParallelNodes, err)
 	}
 	if !r.CorrespondenceOK {
-		t.Fatalf("resultComm=%v: correspondence violated", enable)
+		t.Fatalf("resultComm=%v parallel=%d: correspondence violated", cfg.ResultComm, cfg.ParallelNodes)
 	}
 	return r, m
 }
@@ -94,11 +103,10 @@ func TestResultCommFunctionalEquality(t *testing.T) {
 	want := uint64(8192 * 8193 / 2)
 	for _, enable := range []bool{false, true} {
 		_, m := runResultComm(t, 2, enable)
-		for i := 0; i < 2; i++ {
-			if got := m.NodeEmu(i).Reg(20); got != want {
-				t.Fatalf("resultComm=%v node %d: total = %d, want %d", enable, i, got, want)
-			}
+		if got := m.Emu().Reg(20); got != want {
+			t.Fatalf("resultComm=%v: total = %d, want %d", enable, got, want)
 		}
+		checkStreamConsumed(t, m)
 	}
 }
 
@@ -162,13 +170,45 @@ func TestResultCommDisabledMarkersInert(t *testing.T) {
 func TestResultCommFourNodes(t *testing.T) {
 	r, m := runResultComm(t, 4, true)
 	want := uint64(8192 * 8193 / 2)
-	for i := 0; i < 4; i++ {
-		if got := m.NodeEmu(i).Reg(20); got != want {
-			t.Fatalf("node %d total = %d", i, got)
-		}
+	if got := m.Emu().Reg(20); got != want {
+		t.Fatalf("total = %d", got)
 	}
+	checkStreamConsumed(t, m)
 	if !r.CorrespondenceOK {
 		t.Fatal("correspondence violated")
+	}
+}
+
+// TestResultCommParallelBitIdentical: result communication under the
+// parallel engine. Owners execute private regions while the other nodes
+// drain them in one Next call each, so the nodes' stream positions
+// spread by whole region bodies, and the coordinator's pre-fill must
+// cover every drain. The result and the observer stream must match the
+// serial loop's exactly.
+func TestResultCommParallelBitIdentical(t *testing.T) {
+	for _, nodes := range []int{2, 4} {
+		run := func(workers int) (Result, *obs.Trace) {
+			trace := obs.NewTrace()
+			r, m := runResultCommWith(t, nodes, func(c *Config) {
+				c.ResultComm = true
+				c.ParallelNodes = workers
+				c.Observer = trace
+				c.SampleInterval = 500
+			})
+			checkStreamConsumed(t, m)
+			return r, trace
+		}
+		serial, serialTrace := run(1)
+		for _, workers := range []int{2, 4} {
+			par, parTrace := run(workers)
+			if !reflect.DeepEqual(serial, par) {
+				t.Fatalf("%d nodes, parallel-nodes=%d changed the result:\nserial:   %+v\nparallel: %+v",
+					nodes, workers, serial, par)
+			}
+			if !reflect.DeepEqual(serialTrace, parTrace) {
+				t.Fatalf("%d nodes, parallel-nodes=%d changed the observer stream", nodes, workers)
+			}
+		}
 	}
 }
 

@@ -6,9 +6,11 @@
 // inherited): the emulator is the oracle for *what* executes — including
 // every effective address — while the timing models (internal/ooo,
 // internal/core, internal/traditional) decide *when* things happen and
-// where data physically lives. Every DataScalar node runs its own emulator
-// instance over the same program, which is exactly the paper's redundant
-// SPSD execution.
+// where data physically lives. The paper's redundant SPSD execution has
+// every DataScalar node compute the same instruction stream, and no
+// node's timing feeds a value back, so a DataScalar machine runs one
+// emulator instance and each node reads its stream through a private
+// cursor (internal/core/stream.go).
 package emu
 
 import (
@@ -89,11 +91,10 @@ func NewAt(p *prog.Program, pc uint64) (*Machine, error) {
 
 // Clone returns an independent deep copy of the machine: registers,
 // PC, counters, and a page-by-page copy of memory, with the immutable
-// program and predecoded text shared. Machines that fast-forward
-// through the same initialization (every node of a DataScalar machine
-// does) clone one fast-forwarded master instead of re-running up to
-// hundreds of millions of warmup instructions per node — the change
-// that makes N=256 machines constructible in reasonable wall-clock.
+// program and predecoded text shared — a checkpoint that runs forward
+// independently of its original. DataScalar machines make no copies:
+// their nodes share one emulator's output. dsbench's emu.clone_us
+// probe times it.
 func (m *Machine) Clone() *Machine {
 	c := *m
 	c.mem = m.mem.Clone()

@@ -606,8 +606,7 @@ done:   halt
 }
 
 // TestMachineClone: a clone is bit-identical at the point of cloning
-// and fully independent afterwards — the property NewMachine relies on
-// when it fast-forwards one master and clones it per node.
+// and fully independent afterwards.
 func TestMachineClone(t *testing.T) {
 	p, err := asm.Assemble("t", `
         .text

@@ -121,8 +121,8 @@ type Config struct {
 	DelayMaxCycles uint64
 	// FlipRate is the probability, per broadcast delivery at each
 	// receiving node, that the receiver observes a corrupted payload.
-	// The timing model carries no payload data (every node's emulator
-	// computes all values itself), so a flip perturbs the victim's
+	// The timing model carries no payload data (the machine's one
+	// emulator computes all values), so a flip perturbs the victim's
 	// commit-fingerprint stream instead — detected, when the fingerprint
 	// exchange is enabled, as cross-node divergence.
 	FlipRate float64

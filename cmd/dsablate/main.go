@@ -10,29 +10,46 @@
 //
 // Names: interconnect, writepolicy, syncesp, resultcomm, latencies,
 // placement, scaling, replication.
+//
+// Exit codes: 0 success; 1 an ablation failed; 2 usage error (a bad
+// flag, an unknown -only name or a stray argument), checked before any
+// simulation runs.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
+	"slices"
 
 	datascalar "github.com/wisc-arch/datascalar"
 	"github.com/wisc-arch/datascalar/internal/cli"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dsablate: ")
-	scale := flag.Int("scale", 1, "workload scale factor")
-	instr := flag.Uint64("instr", 0, "measured instructions per timing run (0 = default)")
-	only := flag.String("only", "", "run a single ablation by name")
-	jsonOut := flag.String("json", "", "also write the structured results of the ablations run as JSON to this file (\"-\" = stdout)")
-	parallel := flag.Int("parallel", 0, "simulation worker count (0 = GOMAXPROCS, 1 = serial)")
-	flag.Parse()
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// realMain is main minus the process boundary, so the CLI tests can run
+// the binary in-process and assert on exit codes.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dsablate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Int("scale", 1, "workload scale factor")
+	instr := fs.Uint64("instr", 0, "measured instructions per timing run (0 = default)")
+	only := fs.String("only", "", "run a single ablation by name")
+	jsonOut := fs.String("json", "", "also write the structured results of the ablations run as JSON to this file (\"-\" = stdout)")
+	parallel := fs.Int("parallel", 0, "simulation worker count (0 = GOMAXPROCS, 1 = serial)")
+	if err := fs.Parse(args); err != nil {
+		return cli.ExitUsage
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintf(stderr, "dsablate: unexpected arguments %q\n", fs.Args())
+		return cli.ExitUsage
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -82,6 +99,10 @@ func main() {
 			return r.Table(), r, err
 		}},
 	}
+	if *only != "" && !slices.ContainsFunc(ablations, func(a ablation) bool { return a.name == *only }) {
+		fmt.Fprintf(stderr, "dsablate: unknown ablation %q\n", *only)
+		return cli.ExitUsage
+	}
 
 	ran := 0
 	artifact := map[string]any{}
@@ -91,21 +112,21 @@ func main() {
 		}
 		table, result, err := a.run()
 		if err != nil {
-			log.Fatalf("%s: %v", a.name, err)
+			fmt.Fprintf(stderr, "dsablate: %s: %v\n", a.name, err)
+			return cli.ExitCode(err)
 		}
 		if ran > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		fmt.Fprint(os.Stdout, table.String())
+		fmt.Fprint(stdout, table.String())
 		artifact[a.name] = result
 		ran++
 	}
-	if ran == 0 {
-		log.Fatalf("unknown ablation %q", *only)
-	}
 	if *jsonOut != "" {
-		if err := cli.WriteJSON(*jsonOut, os.Stdout, artifact); err != nil {
-			log.Fatal(err)
+		if err := cli.WriteJSON(*jsonOut, stdout, artifact); err != nil {
+			fmt.Fprintf(stderr, "dsablate: %v\n", err)
+			return cli.ExitCode(err)
 		}
 	}
+	return cli.ExitOK
 }

@@ -5,25 +5,42 @@
 // Usage:
 //
 //	dsthread [-scale N] [-instr N]
+//
+// Exit codes: 0 success; 1 the analysis failed; 2 usage error (a bad
+// flag or a stray argument).
 package main
 
 import (
 	"context"
 	"flag"
-	"log"
+	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
 	datascalar "github.com/wisc-arch/datascalar"
+	"github.com/wisc-arch/datascalar/internal/cli"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dsthread: ")
-	scale := flag.Int("scale", 1, "workload scale factor")
-	instr := flag.Uint64("instr", 0, "max instructions per benchmark (0 = default)")
-	parallel := flag.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS, 1 = serial)")
-	flag.Parse()
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// realMain is main minus the process boundary, so the CLI tests can run
+// the binary in-process and assert on exit codes.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dsthread", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Int("scale", 1, "workload scale factor")
+	instr := fs.Uint64("instr", 0, "max instructions per benchmark (0 = default)")
+	parallel := fs.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS, 1 = serial)")
+	if err := fs.Parse(args); err != nil {
+		return cli.ExitUsage
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintf(stderr, "dsthread: unexpected arguments %q\n", fs.Args())
+		return cli.ExitUsage
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -37,7 +54,9 @@ func main() {
 
 	res, err := datascalar.Table2(ctx, opts)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "dsthread: %v\n", err)
+		return cli.ExitCode(err)
 	}
-	res.Table().Render(os.Stdout)
+	res.Table().Render(stdout)
+	return cli.ExitOK
 }

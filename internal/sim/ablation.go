@@ -59,35 +59,27 @@ func (r InterconnectResult) Table() *stats.Table {
 // grows.
 func AblationInterconnect(ctx context.Context, opts Options) (InterconnectResult, error) {
 	opts = opts.withDefaults()
-	var out InterconnectResult
-	names := []string{"compress", "mgrid"}
-	nodeCounts := []int{2, 4}
-	var jobs []Job
-	for _, name := range names {
-		w, ok := workload.ByName(name)
-		if !ok {
-			return out, fmt.Errorf("sim: missing workload %s", name)
-		}
-		for _, nodes := range nodeCounts {
-			jobs = append(jobs,
-				Job{Workload: w, Scale: opts.Scale, Kind: KindDS, Nodes: nodes, MaxInstr: opts.TimingInstr},
-				Job{Workload: w, Scale: opts.Scale, Kind: KindDS, Nodes: nodes, MaxInstr: opts.TimingInstr, Topology: bus.TopoRing},
-			)
-		}
-	}
-	res, err := runJobs(ctx, opts, jobs)
+	ws, err := resolveWorkloads([]string{"compress", "mgrid"})
 	if err != nil {
-		return out, err
+		return InterconnectResult{}, err
 	}
-	for i := 0; i < len(res); i += 2 {
-		out.Rows = append(out.Rows, InterconnectRow{
-			Benchmark: jobs[i].Workload.Name,
-			Nodes:     jobs[i].Nodes,
-			BusIPC:    res[i].IPC(),
-			RingIPC:   res[i+1].IPC(),
-		})
-	}
-	return out, nil
+	// One point per (benchmark, node count): a bus run and a ring run.
+	nodeCounts := []int{2, 4}
+	rows, err := sweep(ctx, opts, len(ws)*len(nodeCounts), func(i int) []Job {
+		onBus := Job{Workload: ws[i/len(nodeCounts)], Kind: KindDS,
+			Nodes: nodeCounts[i%len(nodeCounts)], MaxInstr: opts.TimingInstr}
+		onRing := onBus
+		onRing.Topology = bus.TopoRing
+		return []Job{onBus, onRing}
+	}, func(i int, res []JobResult) InterconnectRow {
+		return InterconnectRow{
+			Benchmark: ws[i/len(nodeCounts)].Name,
+			Nodes:     nodeCounts[i%len(nodeCounts)],
+			BusIPC:    res[0].IPC(),
+			RingIPC:   res[1].IPC(),
+		}
+	})
+	return InterconnectResult{Rows: rows}, err
 }
 
 // ---------------------------------------------------------------------------
@@ -135,15 +127,13 @@ func (r WritePolicyResult) Table() *stats.Table {
 func AblationWritePolicy(ctx context.Context, opts Options) (WritePolicyResult, error) {
 	opts = opts.withDefaults()
 	var out WritePolicyResult
-	names := []string{"compress", "vortex", "swim", "wave5"}
+	ws, err := resolveWorkloads([]string{"compress", "vortex", "swim", "wave5"})
+	if err != nil {
+		return out, err
+	}
 	policies := []cache.AllocPolicy{cache.WriteAllocate, cache.WriteNoAllocate}
-	bytes, err := runIndexed(ctx, opts.Parallel, len(names)*len(policies), func(i int) (uint64, error) {
-		name := names[i/len(policies)]
-		w, ok := workload.ByName(name)
-		if !ok {
-			return 0, fmt.Errorf("sim: missing workload %s", name)
-		}
-		pr, err := prepare(w, opts.Scale)
+	bytes, err := runIndexed(ctx, opts.Parallel, len(ws)*len(policies), func(i int) (uint64, error) {
+		pr, err := prepare(ws[i/len(policies)], opts.Scale)
 		if err != nil {
 			return 0, err
 		}
@@ -161,9 +151,9 @@ func AblationWritePolicy(ctx context.Context, opts Options) (WritePolicyResult, 
 	if err != nil {
 		return out, err
 	}
-	for i, name := range names {
+	for i, w := range ws {
 		allocB, noAllocB := bytes[2*i], bytes[2*i+1]
-		row := WritePolicyRow{Benchmark: name, AllocESPBytes: allocB, NoAllocESPBytes: noAllocB}
+		row := WritePolicyRow{Benchmark: w.Name, AllocESPBytes: allocB, NoAllocESPBytes: noAllocB}
 		if allocB > 0 {
 			row.Saved = 1 - float64(noAllocB)/float64(allocB)
 		}
@@ -220,7 +210,6 @@ func (r SyncESPResult) Table() *stats.Table {
 // running datathreads concurrently.
 func AblationSyncESP(ctx context.Context, opts Options) (SyncESPResult, error) {
 	opts = opts.withDefaults()
-	var out SyncESPResult
 	ws := workload.TimingSet()
 	rows, err := runIndexed(ctx, opts.Parallel, len(ws), func(i int) (SyncESPRow, error) {
 		pr, err := prepare(ws[i], opts.Scale)
@@ -261,11 +250,7 @@ func AblationSyncESP(ctx context.Context, opts Options) (SyncESPResult, error) {
 			LeadChanges: res.LeadChanges,
 		}, nil
 	})
-	if err != nil {
-		return out, err
-	}
-	out.Rows = rows
-	return out, nil
+	return SyncESPResult{Rows: rows}, err
 }
 
 // ---------------------------------------------------------------------------
@@ -353,41 +338,33 @@ tot:    ld   r4, 0(r11)
 // block-reduction workload at two and four nodes.
 func AblationResultComm(ctx context.Context, opts Options) (ResultCommResult, error) {
 	opts = opts.withDefaults()
-	var out ResultCommResult
 	p, err := asm.Assemble("resultcomm", resultCommKernel())
 	if err != nil {
-		return out, err
+		return ResultCommResult{}, err
 	}
-	w := workloadStub("resultcomm")
-	commOn := func(cfg *core.Config) { cfg.ResultComm = true }
+	w := workload.Workload{Name: "resultcomm"}
 	nodeCounts := []int{2, 4}
-	var jobs []Job
-	for _, nodes := range nodeCounts {
-		jobs = append(jobs,
-			Job{Workload: w, Program: p, Kind: KindDS, Nodes: nodes},
-			Job{Workload: w, Program: p, Kind: KindDS, Nodes: nodes, DSMut: commOn},
-		)
-	}
-	res, err := runJobs(ctx, opts, jobs)
-	if err != nil {
-		return out, err
-	}
-	for i, nodes := range nodeCounts {
-		off, on := res[2*i].DS, res[2*i+1].DS
+	rows, err := sweep(ctx, opts, len(nodeCounts), func(i int) []Job {
+		off := Job{Workload: w, Program: p, Kind: KindDS, Nodes: nodeCounts[i]}
+		on := off
+		on.DSMut = func(cfg *core.Config) { cfg.ResultComm = true }
+		return []Job{off, on}
+	}, func(i int, res []JobResult) ResultCommRow {
+		off, on := res[0].DS, res[1].DS
 		var skipped uint64
 		for _, ns := range on.Nodes {
 			skipped += ns.SkippedInstr.Value()
 		}
-		out.Rows = append(out.Rows, ResultCommRow{
-			Nodes:          nodes,
+		return ResultCommRow{
+			Nodes:          nodeCounts[i],
 			OffIPC:         off.IPC,
 			OnIPC:          on.IPC,
 			OffBroadcasts:  off.BusStats.ByKindMsgs[bus.Broadcast].Value(),
 			OnBroadcasts:   on.BusStats.ByKindMsgs[bus.Broadcast].Value(),
-			SkippedPerNode: float64(skipped) / float64(nodes),
-		})
-	}
-	return out, nil
+			SkippedPerNode: float64(skipped) / float64(nodeCounts[i]),
+		}
+	})
+	return ResultCommResult{Rows: rows}, err
 }
 
 // ---------------------------------------------------------------------------
@@ -422,37 +399,31 @@ func (r LatencyResult) Table() *stats.Table {
 // BSHR access) to show how sensitive the design is to them.
 func AblationLatencies(ctx context.Context, opts Options) (LatencyResult, error) {
 	opts = opts.withDefaults()
-	out := LatencyResult{Benchmark: "compress"}
-	w, ok := workload.ByName("compress")
-	if !ok {
-		return out, fmt.Errorf("sim: missing compress")
+	ws, err := resolveWorkloads([]string{"compress"})
+	if err != nil {
+		return LatencyResult{}, err
 	}
+	out := LatencyResult{Benchmark: ws[0].Name}
 	points := []struct{ bshr, q uint64 }{
 		{1, 1}, {2, 2}, {4, 4}, {8, 8}, {16, 16},
 	}
-	jobs := make([]Job, len(points))
-	for i, point := range points {
-		point := point
-		jobs[i] = Job{
-			Workload: w, Scale: opts.Scale, Kind: KindDS, Nodes: 2, MaxInstr: opts.SweepInstr,
+	out.Rows, err = sweep(ctx, opts, len(points), func(i int) []Job {
+		point := points[i]
+		return []Job{{
+			Workload: ws[0], Kind: KindDS, Nodes: 2, MaxInstr: opts.SweepInstr,
 			DSMut: func(cfg *core.Config) {
 				cfg.BSHRCycles = point.bshr
 				cfg.BcastQueueCycles = point.q
 			},
+		}}
+	}, func(i int, res []JobResult) LatencyRow {
+		return LatencyRow{
+			BSHRCycles:       points[i].bshr,
+			BcastQueueCycles: points[i].q,
+			IPC:              res[0].IPC(),
 		}
-	}
-	res, err := runJobs(ctx, opts, jobs)
-	if err != nil {
-		return out, err
-	}
-	for i, point := range points {
-		out.Rows = append(out.Rows, LatencyRow{
-			BSHRCycles:       point.bshr,
-			BcastQueueCycles: point.q,
-			IPC:              res[i].IPC(),
-		})
-	}
-	return out, nil
+	})
+	return out, err
 }
 
 // ---------------------------------------------------------------------------
@@ -534,46 +505,42 @@ type placementPlan struct {
 func AblationPlacement(ctx context.Context, opts Options) (PlacementResult, error) {
 	opts = opts.withDefaults()
 	const nodes = 4
-	var out PlacementResult
 	// swim/applu are streaming (their loads pipeline regardless of
 	// placement, so only thread length moves); gcc/li chase dependent
 	// pointers, where fewer ownership transitions shorten the serialized
 	// crossing chain and IPC can move too.
-	names := []string{"swim", "applu", "gcc", "li"}
-	plans, err := runIndexed(ctx, opts.Parallel, len(names), func(i int) (placementPlan, error) {
-		return placementPlanFor(names[i], nodes, opts)
+	ws, err := resolveWorkloads([]string{"swim", "applu", "gcc", "li"})
+	if err != nil {
+		return PlacementResult{}, err
+	}
+	plans, err := runIndexed(ctx, opts.Parallel, len(ws), func(i int) (placementPlan, error) {
+		return placementPlanFor(ws[i], nodes, opts)
 	})
 	if err != nil {
-		return out, err
+		return PlacementResult{}, err
 	}
 
 	slowBus := func(cfg *core.Config) { cfg.Topology.Bus.ClockDivisor = 8 }
-	var jobs []Job
-	for _, plan := range plans {
+	rows, err := sweep(ctx, opts, len(plans), func(i int) []Job {
 		// Six timing runs per benchmark: the three placements at the
 		// default bus, then the same three under the 4x slower bus.
-		for _, pt := range []*mem.PageTable{plan.rrPT, plan.optPT, plan.staticPT} {
-			jobs = append(jobs, Job{
-				Workload: plan.pr.w, Scale: opts.Scale, Kind: KindDS, Nodes: nodes,
-				MaxInstr: opts.TimingInstr, PageTable: pt,
-			})
+		plan := plans[i]
+		var jobs []Job
+		for _, mut := range []func(*core.Config){nil, slowBus} {
+			for _, pt := range []*mem.PageTable{plan.rrPT, plan.optPT, plan.staticPT} {
+				jobs = append(jobs, Job{
+					Workload: plan.pr.w, Kind: KindDS, Nodes: nodes,
+					MaxInstr: opts.TimingInstr, PageTable: pt, DSMut: mut,
+				})
+			}
 		}
-		for _, pt := range []*mem.PageTable{plan.rrPT, plan.optPT, plan.staticPT} {
-			jobs = append(jobs, Job{
-				Workload: plan.pr.w, Scale: opts.Scale, Kind: KindDS, Nodes: nodes,
-				MaxInstr: opts.TimingInstr, PageTable: pt, DSMut: slowBus,
-			})
-		}
-	}
-	res, err := runJobs(ctx, opts, jobs)
-	if err != nil {
-		return out, err
-	}
-	for i, plan := range plans {
-		rr, opt, static := res[6*i].DS, res[6*i+1].DS, res[6*i+2].DS
-		rrSlow, optSlow, staticSlow := res[6*i+3].DS, res[6*i+4].DS, res[6*i+5].DS
-		out.Rows = append(out.Rows, PlacementRow{
-			Benchmark:        names[i],
+		return jobs
+	}, func(i int, res []JobResult) PlacementRow {
+		plan := plans[i]
+		rr, opt, static := res[0].DS, res[1].DS, res[2].DS
+		rrSlow, optSlow, staticSlow := res[3].DS, res[4].DS, res[5].DS
+		return PlacementRow{
+			Benchmark:        ws[i].Name,
 			RRThreadMean:     plan.rrMean,
 			OptThreadMean:    plan.optMean,
 			StaticThreadMean: plan.staticMean,
@@ -586,18 +553,14 @@ func AblationPlacement(ctx context.Context, opts Options) (PlacementResult, erro
 			RRIPCSlow:        rrSlow.IPC,
 			OptIPCSlow:       optSlow.IPC,
 			StaticIPCSlow:    staticSlow.IPC,
-		})
-	}
-	return out, nil
+		}
+	})
+	return PlacementResult{Rows: rows}, err
 }
 
 // placementPlanFor builds one benchmark's three candidate placements and
 // their analysis-side datathread means.
-func placementPlanFor(name string, nodes int, opts Options) (placementPlan, error) {
-	w, ok := workload.ByName(name)
-	if !ok {
-		return placementPlan{}, fmt.Errorf("sim: missing workload %s", name)
-	}
+func placementPlanFor(w workload.Workload, nodes int, opts Options) (placementPlan, error) {
 	pr, err := prepare(w, opts.Scale)
 	if err != nil {
 		return placementPlan{}, err
@@ -729,53 +692,47 @@ func AblationReplication(ctx context.Context, opts Options) (ReplicationResult, 
 	opts = opts.withDefaults()
 	const nodes = 4
 	out := ReplicationResult{Nodes: nodes}
-	names := []string{"compress", "li"}
-	plans, err := runIndexed(ctx, opts.Parallel, len(names), func(i int) (replicationPlan, error) {
-		return replicationPlanFor(names[i], nodes, opts)
+	ws, err := resolveWorkloads([]string{"compress", "li"})
+	if err != nil {
+		return out, err
+	}
+	plans, err := runIndexed(ctx, opts.Parallel, len(ws), func(i int) (replicationPlan, error) {
+		return replicationPlanFor(ws[i], nodes, opts)
 	})
 	if err != nil {
 		return out, err
 	}
 
-	var jobs []Job
-	for _, plan := range plans {
-		for _, pt := range plan.pts {
-			jobs = append(jobs, Job{
-				Workload: plan.pr.w, Scale: opts.Scale, Kind: KindDS, Nodes: nodes,
+	out.Rows, err = sweep(ctx, opts, len(plans), func(i int) []Job {
+		jobs := make([]Job, len(plans[i].pts))
+		for k, pt := range plans[i].pts {
+			jobs[k] = Job{
+				Workload: plans[i].pr.w, Kind: KindDS, Nodes: nodes,
 				MaxInstr: opts.TimingInstr, PageTable: pt,
-			})
+			}
 		}
-	}
-	res, err := runJobs(ctx, opts, jobs)
-	if err != nil {
-		return out, err
-	}
-	i := 0
-	for pi, plan := range plans {
-		row := ReplicationRow{Benchmark: names[pi]}
-		for fi, frac := range replicationFractions {
-			r := res[i].DS
-			i++
+		return jobs
+	}, func(i int, res []JobResult) ReplicationRow {
+		plan := plans[i]
+		row := ReplicationRow{Benchmark: ws[i].Name}
+		for k, frac := range replicationFractions {
+			r := res[k].DS
 			row.Points = append(row.Points, ReplicationPoint{
 				Fraction:        frac,
-				ReplicatedPages: plan.counts[fi],
+				ReplicatedPages: plan.counts[k],
 				IPC:             r.IPC,
 				Broadcasts:      r.BusStats.ByKindMsgs[bus.Broadcast].Value(),
-				NodeKB:          plan.pts[fi].NodeBytes(0) / 1024,
+				NodeKB:          plan.pts[k].NodeBytes(0) / 1024,
 			})
 		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+		return row
+	})
+	return out, err
 }
 
 // replicationPlanFor profiles one benchmark's page heat and builds the
 // page table for each swept replication fraction.
-func replicationPlanFor(name string, nodes int, opts Options) (replicationPlan, error) {
-	w, ok := workload.ByName(name)
-	if !ok {
-		return replicationPlan{}, fmt.Errorf("sim: missing workload %s", name)
-	}
+func replicationPlanFor(w workload.Workload, nodes int, opts Options) (replicationPlan, error) {
 	pr, err := prepare(w, opts.Scale)
 	if err != nil {
 		return replicationPlan{}, err

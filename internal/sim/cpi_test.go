@@ -66,7 +66,7 @@ func TestCPIStackNodeDeath(t *testing.T) {
 		t.Fatal("compress workload missing")
 	}
 	res, err := runJobs(context.Background(), detOpts(0), []Job{{
-		Workload: w, Scale: 1, Kind: KindDS, Nodes: 2, MaxInstr: 30_000,
+		Workload: w, Kind: KindDS, Nodes: 2, MaxInstr: 30_000,
 		Fault: fault.Config{Deaths: []fault.Death{{Node: 1, Cycle: 5_000}}, Recover: true,
 			RetryTimeoutCycles: 1_000, MaxRetries: 3},
 	}})

@@ -12,7 +12,6 @@ import (
 	"github.com/wisc-arch/datascalar/internal/core"
 	"github.com/wisc-arch/datascalar/internal/fault"
 	"github.com/wisc-arch/datascalar/internal/mem"
-	"github.com/wisc-arch/datascalar/internal/obs"
 	"github.com/wisc-arch/datascalar/internal/prog"
 	"github.com/wisc-arch/datascalar/internal/traditional"
 	"github.com/wisc-arch/datascalar/internal/workload"
@@ -22,7 +21,9 @@ import (
 // enumerates Jobs — fully independent, deterministic simulations — and
 // runJobs executes them on a bounded worker pool, assembling results
 // strictly in job order so the output of a sweep is bit-identical at any
-// Options.Parallel setting (enforced by TestHarnessesDeterministicUnderParallelism).
+// Options.Parallel setting (enforced by TestHarnessDifferential). Most
+// harnesses describe their grid as sweep points: each point lists its
+// jobs and builds its output row from exactly its own results.
 
 // MachineKind selects the timing model a Job runs.
 type MachineKind uint8
@@ -61,10 +62,8 @@ func (k MachineKind) String() string {
 // runs under.
 type Job struct {
 	// Workload is the registry benchmark to run, prepared (assembled and
-	// bench_main-located) through the memoized cache at Scale.
+	// bench_main-located) through the memoized cache at Options.Scale.
 	Workload workload.Workload
-	// Scale is the workload scale factor (values < 1 mean 1).
-	Scale int
 	// Program, when non-nil, overrides Workload with a pre-assembled
 	// image (the synthetic Figure 3 / result-communication kernels);
 	// Workload then only labels results and errors.
@@ -93,12 +92,6 @@ type Job struct {
 	// pure functions of the config (they run on worker goroutines).
 	DSMut   func(*core.Config)
 	TradMut func(*traditional.Config)
-
-	// Observer, when non-nil, receives this job's protocol events and
-	// interval samples; it is combined with any observer a mutator
-	// installs. Per-job observers keep tracing coherent under
-	// concurrency: each job's events go to its own sink.
-	Observer obs.Observer
 
 	// Fault is the deterministic fault plan injected into a KindDS
 	// machine (see internal/fault). The zero value builds no fault layer
@@ -136,12 +129,12 @@ func (r JobResult) IPC() float64 {
 	return r.Trad.IPC
 }
 
-// prepare resolves the job's program image.
-func (j Job) prepare() (prepared, error) {
+// prepare resolves the job's program image at the sweep's scale.
+func (j Job) prepare(scale int) (prepared, error) {
 	if j.Program != nil {
 		return prepareProgram(j.Workload, j.Program)
 	}
-	return prepare(j.Workload, j.Scale)
+	return prepare(j.Workload, scale)
 }
 
 // run executes the job to completion under opts, which supply the
@@ -155,7 +148,7 @@ func (j Job) run(opts Options) (JobResult, error) {
 	if j.Topology == bus.TopoBus {
 		j.Topology = opts.Topology
 	}
-	pr, err := j.prepare()
+	pr, err := j.prepare(opts.Scale)
 	if err != nil {
 		return JobResult{}, err
 	}
@@ -210,7 +203,6 @@ func (j Job) runDS(pr prepared, opts Options) (core.Result, *fault.Stats, error)
 	if j.DSMut != nil {
 		j.DSMut(&cfg)
 	}
-	cfg.Observer = obs.Multi(cfg.Observer, j.Observer)
 	m, err := core.NewMachine(cfg, pr.p, pt)
 	if err != nil {
 		return core.Result{}, nil, err
@@ -239,7 +231,6 @@ func (j Job) runTrad(pr prepared, opts Options) (traditional.Result, error) {
 	if j.TradMut != nil {
 		j.TradMut(&cfg)
 	}
-	cfg.Observer = obs.Multi(cfg.Observer, j.Observer)
 	m, err := traditional.NewMachine(cfg, pr.p, pt)
 	if err != nil {
 		return traditional.Result{}, err
@@ -281,6 +272,32 @@ func runJobs(ctx context.Context, opts Options, jobs []Job) ([]JobResult, error)
 	return runIndexed(ctx, opts.Parallel, len(jobs), func(i int) (JobResult, error) {
 		return jobs[i].run(opts)
 	})
+}
+
+// sweep runs an n-point experiment grid as one job batch. jobs(i) lists
+// point i's jobs; every point's jobs run in point order through runJobs,
+// so a failing sweep reports the lowest failing job's error. row(i, res)
+// then builds point i's output from exactly its own results, in the
+// order jobs(i) listed them; rows are built in point order on the
+// calling goroutine.
+func sweep[R any](ctx context.Context, opts Options, n int, jobs func(i int) []Job, row func(i int, res []JobResult) R) ([]R, error) {
+	var all []Job
+	ends := make([]int, n)
+	for i := range ends {
+		all = append(all, jobs(i)...)
+		ends[i] = len(all)
+	}
+	res, err := runJobs(ctx, opts, all)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]R, n)
+	start := 0
+	for i, end := range ends {
+		out[i] = row(i, res[start:end:end])
+		start = end
+	}
+	return out, nil
 }
 
 // runIndexed runs fn(0..n-1) on up to `workers` goroutines (<= 0 means

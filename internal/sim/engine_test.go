@@ -11,10 +11,11 @@ import (
 	"time"
 
 	"github.com/wisc-arch/datascalar/internal/bus"
+	"github.com/wisc-arch/datascalar/internal/fault"
 )
 
-// detOpts are deliberately tiny: the determinism suite runs every
-// harness twice (serial and 4-way parallel), so each run must be cheap.
+// detOpts are deliberately tiny: the harness differential runs every
+// harness six times, so each run must be cheap.
 func detOpts(parallel int) Options {
 	return Options{
 		Scale:       1,
@@ -26,7 +27,7 @@ func detOpts(parallel int) Options {
 }
 
 // harnesses enumerates every experiment runner behind one uniform
-// signature so the determinism and cancellation suites cover all of
+// signature so the differential and cancellation suites cover all of
 // them.
 var harnesses = []struct {
 	name string
@@ -58,11 +59,53 @@ var harnesses = []struct {
 	}},
 }
 
-// TestHarnessesDeterministicUnderParallelism is the engine's ordering
-// guarantee made executable: every harness must produce bit-identical
-// structured results — and byte-identical JSON artifacts — at
-// Parallel: 1 and Parallel: 4.
-func TestHarnessesDeterministicUnderParallelism(t *testing.T) {
+// TestHarnessDifferential is the engine's equivalence guarantees made
+// executable. Each harness gets one reference run (serial, cycle
+// skipping on, no fault plan), and every variant below must reproduce
+// its structured result exactly (DeepEqual) and its JSON artifact byte
+// for byte:
+//   - parallel4: a 4-way worker pool, so results assemble in job order
+//     whatever order the jobs finish in;
+//   - noskip/serial and noskip/parallel4: the next-event scheduler off
+//     (Options.noCycleSkip), alone and crossed with parallelism, so a
+//     scheduler bug that only shows under worker interleaving still
+//     fails;
+//   - zero-rate/serial and zero-rate/parallel4: an Options.Fault whose
+//     injection knobs are all zero but whose retry tuning is set, so the
+//     struct is non-zero while Enabled() is false — the fault layer may
+//     not perturb a healthy machine by existing.
+//
+// Each variant is a subtest of its harness's subtest, so a failure names
+// both, and one variant's failure does not hide the others'.
+//
+// FaultCampaign injects faults by design and skips the zero-rate
+// variants; its own determinism tests cover it.
+func TestHarnessDifferential(t *testing.T) {
+	inert := fault.Config{RetryTimeoutCycles: 777, MaxRetries: 3}
+	variants := []struct {
+		name   string
+		par    int
+		noSkip bool
+		fault  fault.Config
+	}{
+		{"parallel4", 4, false, fault.Config{}},
+		{"noskip/serial", 1, true, fault.Config{}},
+		{"noskip/parallel4", 4, true, fault.Config{}},
+		{"zero-rate/serial", 1, false, inert},
+		{"zero-rate/parallel4", 4, false, inert},
+	}
+	run := func(t *testing.T, h func(context.Context, Options) (any, error), name string, opts Options) (any, []byte) {
+		t.Helper()
+		res, err := h(context.Background(), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, res); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return res, buf.Bytes()
+	}
 	for _, h := range harnesses {
 		h := h
 		t.Run(h.name, func(t *testing.T) {
@@ -70,27 +113,24 @@ func TestHarnessesDeterministicUnderParallelism(t *testing.T) {
 				t.Skip("heavy timing sweep skipped in short mode")
 			}
 			t.Parallel()
-			serial, err := h.run(context.Background(), detOpts(1))
-			if err != nil {
-				t.Fatalf("serial: %v", err)
-			}
-			parallel, err := h.run(context.Background(), detOpts(4))
-			if err != nil {
-				t.Fatalf("parallel: %v", err)
-			}
-			if !reflect.DeepEqual(serial, parallel) {
-				t.Fatalf("results differ between -parallel 1 and 4:\nserial:   %+v\nparallel: %+v",
-					serial, parallel)
-			}
-			var sj, pj bytes.Buffer
-			if err := WriteJSON(&sj, serial); err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteJSON(&pj, parallel); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sj.Bytes(), pj.Bytes()) {
-				t.Fatal("JSON artifacts differ between -parallel 1 and 4")
+			ref, refJSON := run(t, h.run, "reference", detOpts(1))
+			for _, v := range variants {
+				if h.name == "FaultCampaign" && !v.fault.IsZero() {
+					continue
+				}
+				t.Run(v.name, func(t *testing.T) {
+					opts := detOpts(v.par)
+					opts.noCycleSkip = v.noSkip
+					opts.Fault = v.fault
+					res, js := run(t, h.run, v.name, opts)
+					if !reflect.DeepEqual(ref, res) {
+						t.Fatalf("results differ between the reference run and %s:\nreference: %+v\n%s: %+v",
+							v.name, ref, v.name, res)
+					}
+					if !bytes.Equal(refJSON, js) {
+						t.Fatalf("JSON artifacts differ between the reference run and %s", v.name)
+					}
+				})
 			}
 		})
 	}

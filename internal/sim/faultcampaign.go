@@ -342,7 +342,7 @@ func FaultCampaign(ctx context.Context, opts Options, cc FaultCampaignConfig) (F
 	// Phase 1: fault-free baselines for the overhead denominator.
 	base := make([]Job, len(ws))
 	for i, w := range ws {
-		base[i] = Job{Workload: w, Scale: opts.Scale, Kind: KindDS,
+		base[i] = Job{Workload: w, Kind: KindDS,
 			Nodes: cc.Nodes, MaxInstr: cc.MaxInstr, Topology: cc.Topology}
 	}
 	baseRes, err := runJobs(ctx, opts, base)
@@ -363,7 +363,7 @@ func FaultCampaign(ctx context.Context, opts Options, cc FaultCampaignConfig) (F
 				fc := sc.Base
 				fc.Seed = fault.Mix64(uint64(wi+1)<<40 | uint64(si+1)<<16 | uint64(k+1))
 				cells = append(cells, cell{wi, si, fc.Seed})
-				jobs = append(jobs, Job{Workload: w, Scale: opts.Scale,
+				jobs = append(jobs, Job{Workload: w,
 					Kind: KindDS, Nodes: cc.Nodes, MaxInstr: cc.MaxInstr,
 					Topology: cc.Topology, Fault: fc, CaptureFailure: true})
 			}

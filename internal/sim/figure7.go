@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 
 	"github.com/wisc-arch/datascalar/internal/core"
 	"github.com/wisc-arch/datascalar/internal/stats"
@@ -40,6 +41,39 @@ func (r Figure7Result) Table() *stats.Table {
 	return t
 }
 
+// figure7System is one machine of the paper's five-system comparison.
+type figure7System struct {
+	label string
+	kind  MachineKind
+	nodes int
+}
+
+// figure7Systems lists the systems Figure 7 compares, in its column
+// order, with the larger DataScalar/traditional pair at n nodes (the
+// paper's n is 4): the perfect-cache bound, DataScalar at two and n
+// nodes, and traditional machines with one half and 1/n of memory
+// on-chip. Figure 8 and the CPI profile measure the same set.
+func figure7Systems(n int) []figure7System {
+	return []figure7System{
+		{"perfect", KindPerfect, 0},
+		{"DS2", KindDS, 2},
+		{fmt.Sprintf("DS%d", n), KindDS, n},
+		{"trad2", KindTraditional, 2},
+		{fmt.Sprintf("trad%d", n), KindTraditional, n},
+	}
+}
+
+// onSystems stamps each system's machine kind and size onto a copy of
+// base, one job per system.
+func onSystems(base Job, systems []figure7System) []Job {
+	jobs := make([]Job, len(systems))
+	for i, s := range systems {
+		jobs[i] = base
+		jobs[i].Kind, jobs[i].Nodes = s.kind, s.nodes
+	}
+	return jobs
+}
+
 // Figure7 reproduces the paper's timing comparison over the six timing
 // benchmarks (applu, compress, go, mgrid, turb3d, wave5): identical
 // processors, with the DataScalar runs distributing all data pages
@@ -48,27 +82,13 @@ func (r Figure7Result) Table() *stats.Table {
 // memory on-chip.
 func Figure7(ctx context.Context, opts Options) (Figure7Result, error) {
 	opts = opts.withDefaults()
-	var out Figure7Result
 	ws := workload.TimingSet()
-	var jobs []Job
-	for _, w := range ws {
-		// Five systems per benchmark: perfect, DS2, DS4, trad 1/2, trad 1/4.
-		jobs = append(jobs,
-			Job{Workload: w, Scale: opts.Scale, Kind: KindPerfect, MaxInstr: opts.TimingInstr},
-			Job{Workload: w, Scale: opts.Scale, Kind: KindDS, Nodes: 2, MaxInstr: opts.TimingInstr},
-			Job{Workload: w, Scale: opts.Scale, Kind: KindDS, Nodes: 4, MaxInstr: opts.TimingInstr},
-			Job{Workload: w, Scale: opts.Scale, Kind: KindTraditional, Nodes: 2, MaxInstr: opts.TimingInstr},
-			Job{Workload: w, Scale: opts.Scale, Kind: KindTraditional, Nodes: 4, MaxInstr: opts.TimingInstr},
-		)
-	}
-	res, err := runJobs(ctx, opts, jobs)
-	if err != nil {
-		return out, err
-	}
-	for i, w := range ws {
-		perfect, ds2, ds4, t2, t4 := res[5*i], res[5*i+1], res[5*i+2], res[5*i+3], res[5*i+4]
-		out.Rows = append(out.Rows, Figure7Row{
-			Benchmark:  w.Name,
+	rows, err := sweep(ctx, opts, len(ws), func(i int) []Job {
+		return onSystems(Job{Workload: ws[i], MaxInstr: opts.TimingInstr}, figure7Systems(4))
+	}, func(i int, res []JobResult) Figure7Row {
+		perfect, ds2, ds4, t2, t4 := res[0], res[1], res[2], res[3], res[4]
+		return Figure7Row{
+			Benchmark:  ws[i].Name,
 			PerfectIPC: perfect.IPC(),
 			Instr:      perfect.Trad.Instructions,
 			DS2IPC:     ds2.IPC(),
@@ -77,9 +97,9 @@ func Figure7(ctx context.Context, opts Options) (Figure7Result, error) {
 			DS4Detail:  ds4.DS,
 			Trad2IPC:   t2.IPC(),
 			Trad4IPC:   t4.IPC(),
-		})
-	}
-	return out, nil
+		}
+	})
+	return Figure7Result{Rows: rows}, err
 }
 
 // Table3Row is one benchmark's broadcast statistics (paper Table 3),

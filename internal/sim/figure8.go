@@ -113,62 +113,53 @@ func Figure8At(ctx context.Context, opts Options, nodes int) (Figure8Result, err
 	if nodes < 2 {
 		return out, fmt.Errorf("sim: figure 8: nodes %d < 2", nodes)
 	}
-	sweeps := Figure8Sweeps()
-	var jobs []Job
-	for _, name := range figure8Benchmarks {
-		w, ok := workload.ByName(name)
-		if !ok {
-			return out, fmt.Errorf("sim: missing workload %s", name)
-		}
-		for _, param := range Figure8Order {
-			for _, v := range sweeps[param] {
-				jobs = append(jobs, figure8Jobs(w, opts, param, v, nodes)...)
-			}
-		}
-	}
-	res, err := runJobs(ctx, opts, jobs)
+	ws, err := resolveWorkloads(figure8Benchmarks)
 	if err != nil {
 		return out, err
 	}
-	i := 0
-	for range figure8Benchmarks {
+	// One sweep point per (benchmark, parameter, value), measuring the
+	// Figure 7 systems; series indexes the Figure8Series it belongs to.
+	type point struct {
+		w      workload.Workload
+		param  Figure8Param
+		v      int
+		series int
+	}
+	sweeps := Figure8Sweeps()
+	var grid []point
+	for _, w := range ws {
 		for _, param := range Figure8Order {
-			series := Figure8Series{Benchmark: jobs[i].Workload.Name, Param: param}
+			out.Series = append(out.Series, Figure8Series{Benchmark: w.Name, Param: param})
 			for _, v := range sweeps[param] {
-				series.Points = append(series.Points, Figure8Point{
-					Value:   v,
-					Perfect: res[i].IPC(),
-					DS2:     res[i+1].IPC(),
-					DSN:     res[i+2].IPC(),
-					Trad2:   res[i+3].IPC(),
-					TradN:   res[i+4].IPC(),
-				})
-				i += 5
+				grid = append(grid, point{w, param, v, len(out.Series) - 1})
 			}
-			out.Series = append(out.Series, series)
 		}
 	}
-	return out, nil
-}
-
-// figure8Jobs enumerates one sweep point's five systems in Figure 7
-// order: perfect, DS2, DS-n, trad 1/2, trad 1/n.
-func figure8Jobs(w workload.Workload, opts Options, param Figure8Param, v, n int) []Job {
-	dsMut := func(cfg *core.Config) { applyDSParam(cfg, param, v) }
-	tradMut := func(cfg *traditional.Config) { applyTradParam(cfg, param, v) }
-	base := Job{Workload: w, Scale: opts.Scale, MaxInstr: opts.SweepInstr, DSMut: dsMut, TradMut: tradMut}
-	jobs := make([]Job, 5)
-	for i, sys := range []struct {
-		kind  MachineKind
-		nodes int
-	}{
-		{KindPerfect, 0}, {KindDS, 2}, {KindDS, n}, {KindTraditional, 2}, {KindTraditional, n},
-	} {
-		j := base
-		j.Kind, j.Nodes = sys.kind, sys.nodes
-		jobs[i] = j
+	pts, err := sweep(ctx, opts, len(grid), func(i int) []Job {
+		g := grid[i]
+		return onSystems(Job{
+			Workload: g.w, MaxInstr: opts.SweepInstr,
+			DSMut:   func(cfg *core.Config) { applyDSParam(cfg, g.param, g.v) },
+			TradMut: func(cfg *traditional.Config) { applyTradParam(cfg, g.param, g.v) },
+		}, figure7Systems(nodes))
+	}, func(i int, res []JobResult) Figure8Point {
+		return Figure8Point{
+			Value:   grid[i].v,
+			Perfect: res[0].IPC(),
+			DS2:     res[1].IPC(),
+			DSN:     res[2].IPC(),
+			Trad2:   res[3].IPC(),
+			TradN:   res[4].IPC(),
+		}
+	})
+	if err != nil {
+		return Figure8Result{Nodes: nodes}, err
 	}
-	return jobs
+	for i, p := range pts {
+		s := &out.Series[grid[i].series]
+		s.Points = append(s.Points, p)
+	}
+	return out, nil
 }
 
 // applyParam applies one sweep value to the sub-configurations both

@@ -12,12 +12,6 @@ import (
 	"github.com/wisc-arch/datascalar/internal/workload"
 )
 
-// workloadStub names a synthetic (non-registry) program for harness
-// bookkeeping.
-func workloadStub(name string) workload.Workload {
-	return workload.Workload{Name: name}
-}
-
 // Figure1 reproduces the paper's Figure 1: the synchronous ESP Massive
 // Memory Machine timeline for the reference string w1..w9 with w5-w7 on
 // machine 1 and the rest on machine 0.
@@ -135,7 +129,7 @@ func Figure3() (Figure3Result, error) {
 	if err != nil {
 		return out, err
 	}
-	w := workloadStub("figure3")
+	w := workload.Workload{Name: "figure3"}
 
 	ds, err := Job{
 		Workload: w, Program: p, Kind: KindDS, Nodes: 4,

@@ -53,22 +53,14 @@ func (r MeasuredTrafficResult) Table() *stats.Table {
 // exactly as the Scaling harness's points do.
 func MeasuredTraffic(ctx context.Context, opts Options, nodes int, topo bus.TopologyKind) (MeasuredTrafficResult, error) {
 	opts = opts.withDefaults()
-	out := MeasuredTrafficResult{Nodes: nodes, Topology: topo.String()}
 	ws := workload.TimingSet()
-	jobs := make([]Job, len(ws))
-	for i, w := range ws {
-		jobs[i] = Job{Workload: w, Scale: opts.Scale, Kind: KindDS, Nodes: nodes,
-			MaxInstr: scalingInstr(opts.TimingInstr, nodes), Topology: topo}
-	}
-	res, err := runJobs(ctx, opts, jobs)
-	if err != nil {
-		return out, err
-	}
-	links := topo.Links(nodes)
-	for i, w := range ws {
-		r := res[i].DS
+	rows, err := sweep(ctx, opts, len(ws), func(i int) []Job {
+		return []Job{{Workload: ws[i], Kind: KindDS, Nodes: nodes,
+			MaxInstr: scalingInstr(opts.TimingInstr, nodes), Topology: topo}}
+	}, func(i int, res []JobResult) MeasuredTrafficRow {
+		r := res[0].DS
 		row := MeasuredTrafficRow{
-			Benchmark:  w.Name,
+			Benchmark:  ws[i].Name,
 			Broadcasts: r.BusStats.ByKindMsgs[bus.Broadcast].Value(),
 			Messages:   r.BusStats.Messages.Value(),
 			Bytes:      r.BusStats.Bytes.Value(),
@@ -76,9 +68,9 @@ func MeasuredTraffic(ctx context.Context, opts Options, nodes int, topo bus.Topo
 		}
 		if r.Cycles > 0 {
 			row.LinkUtil = float64(r.BusStats.BusyCycles.Value()) /
-				(float64(r.Cycles) * float64(links))
+				(float64(r.Cycles) * float64(topo.Links(nodes)))
 		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+		return row
+	})
+	return MeasuredTrafficResult{Nodes: nodes, Topology: topo.String(), Rows: rows}, err
 }

@@ -21,7 +21,7 @@ func pardiffJob(t *testing.T, kernel string, topo bus.TopologyKind, f fault.Conf
 		t.Fatalf("workload %s missing", kernel)
 	}
 	return Job{
-		Workload: w, Scale: 1, Kind: KindDS, Nodes: 4, MaxInstr: 25_000,
+		Workload: w, Kind: KindDS, Nodes: 4, MaxInstr: 25_000,
 		Topology: topo, Fault: f,
 	}
 }

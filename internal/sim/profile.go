@@ -17,22 +17,6 @@ import (
 // counts, which is what lets CompareCPIProfiles (profdiff.go) serve as
 // an exact cross-run regression gate in CI.
 
-// cpiSystems are the systems profiled per benchmark, matching Figure 7's
-// comparison: the perfect-cache bound, DataScalar at two and four nodes,
-// and traditional machines with one half and one quarter of memory
-// on-chip.
-var cpiSystems = []struct {
-	label string
-	kind  MachineKind
-	nodes int
-}{
-	{"perfect", KindPerfect, 0},
-	{"DS2", KindDS, 2},
-	{"DS4", KindDS, 4},
-	{"trad2", KindTraditional, 2},
-	{"trad4", KindTraditional, 4},
-}
-
 // CPIProfileRow is one (benchmark, system) measurement: total cycles,
 // committed instructions, and the per-node cycle-attribution stacks
 // (single-entry for the one-core systems). Every stack sums exactly to
@@ -75,37 +59,27 @@ func CPIProfile(ctx context.Context, opts Options, names []string) (CPIProfileRe
 	if err != nil {
 		return out, err
 	}
-	var jobs []Job
-	for _, w := range ws {
-		for _, s := range cpiSystems {
-			jobs = append(jobs, Job{
-				Workload: w, Scale: opts.Scale, Kind: s.kind,
-				Nodes: s.nodes, MaxInstr: opts.TimingInstr,
-			})
+	// One sweep point, and one row, per (benchmark, system).
+	systems := figure7Systems(4)
+	out.Rows, err = sweep(ctx, opts, len(ws)*len(systems), func(i int) []Job {
+		s := systems[i%len(systems)]
+		return []Job{{Workload: ws[i/len(systems)], Kind: s.kind, Nodes: s.nodes, MaxInstr: opts.TimingInstr}}
+	}, func(i int, res []JobResult) CPIProfileRow {
+		s, r := systems[i%len(systems)], res[0]
+		row := CPIProfileRow{Benchmark: ws[i/len(systems)].Name, System: s.label, Nodes: s.nodes}
+		if s.kind == KindDS {
+			row.Cycles = r.DS.Cycles
+			row.Instructions = r.DS.Instructions
+			row.Stacks = r.DS.CPIStacks
+		} else {
+			row.Nodes = 1
+			row.Cycles = r.Trad.Cycles
+			row.Instructions = r.Trad.Instructions
+			row.Stacks = []obs.CPIStack{r.Trad.CPIStack}
 		}
-	}
-	res, err := runJobs(ctx, opts, jobs)
-	if err != nil {
-		return out, err
-	}
-	for i, w := range ws {
-		for si, s := range cpiSystems {
-			r := res[i*len(cpiSystems)+si]
-			row := CPIProfileRow{Benchmark: w.Name, System: s.label, Nodes: s.nodes}
-			if s.kind == KindDS {
-				row.Cycles = r.DS.Cycles
-				row.Instructions = r.DS.Instructions
-				row.Stacks = r.DS.CPIStacks
-			} else {
-				row.Nodes = 1
-				row.Cycles = r.Trad.Cycles
-				row.Instructions = r.Trad.Instructions
-				row.Stacks = []obs.CPIStack{r.Trad.CPIStack}
-			}
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out, nil
+		return row
+	})
+	return out, err
 }
 
 // resolveWorkloads maps registry names to workloads; an empty list means

@@ -7,7 +7,6 @@ import (
 	"github.com/wisc-arch/datascalar/internal/bus"
 	"github.com/wisc-arch/datascalar/internal/stats"
 	"github.com/wisc-arch/datascalar/internal/trace"
-	"github.com/wisc-arch/datascalar/internal/workload"
 )
 
 // Node-count scaling beyond the paper's evaluation. The paper measures
@@ -145,76 +144,79 @@ func ownerComputeIPC(pr prepared, refInstr uint64, nodes int, perfectIPC float64
 func Scaling(ctx context.Context, opts Options) (ScalingResult, error) {
 	opts = opts.withDefaults()
 	var out ScalingResult
-	names := []string{"compress", "mgrid"}
-	perJob := len(scalingTopologies) + 1 // four DS runs + traditional
-	var jobs []Job
-	for _, name := range names {
-		w, ok := workload.ByName(name)
-		if !ok {
-			return out, fmt.Errorf("sim: missing workload %s", name)
-		}
-		// One perfect-cache run per benchmark anchors the owner-compute
-		// model's compute floor.
-		jobs = append(jobs, Job{Workload: w, Scale: opts.Scale, Kind: KindPerfect, MaxInstr: opts.TimingInstr})
-		for _, nodes := range scalingNodeCounts {
-			instr := scalingInstr(opts.TimingInstr, nodes)
-			for _, topo := range scalingTopologies {
-				jobs = append(jobs, Job{Workload: w, Scale: opts.Scale, Kind: KindDS,
-					Nodes: nodes, MaxInstr: instr, Topology: topo})
-			}
-			jobs = append(jobs, Job{Workload: w, Scale: opts.Scale, Kind: KindTraditional,
-				Nodes: nodes, MaxInstr: instr})
-		}
-	}
-	res, err := runJobs(ctx, opts, jobs)
+	ws, err := resolveWorkloads([]string{"compress", "mgrid"})
 	if err != nil {
 		return out, err
 	}
-	perBench := 1 + len(scalingNodeCounts)*perJob
-	// The owner-compute replays are pure trace analyses; run them on the
-	// same worker pool, one per (benchmark, node count).
-	ownerIPC, err := runIndexed(ctx, opts.Parallel, len(names)*len(scalingNodeCounts), func(i int) (float64, error) {
-		name := names[i/len(scalingNodeCounts)]
-		nodes := scalingNodeCounts[i%len(scalingNodeCounts)]
-		w, _ := workload.ByName(name)
-		pr, err := prepare(w, opts.Scale)
-		if err != nil {
-			return 0, err
+	// Each benchmark's points open with one perfect-cache run (nodes 0),
+	// which anchors the owner-compute model's compute floor; every other
+	// point runs the DS machine on all four topologies plus the
+	// traditional baseline at one node count.
+	counts := append([]int{0}, scalingNodeCounts...)
+	perfect := make([]float64, len(ws))
+	pts, err := sweep(ctx, opts, len(ws)*len(counts), func(i int) []Job {
+		w, nodes := ws[i/len(counts)], counts[i%len(counts)]
+		if nodes == 0 {
+			return []Job{{Workload: w, Kind: KindPerfect, MaxInstr: opts.TimingInstr}}
 		}
-		perfect := res[(i/len(scalingNodeCounts))*perBench].Trad.IPC
-		return ownerComputeIPC(pr, opts.RefInstr, nodes, perfect)
+		instr := scalingInstr(opts.TimingInstr, nodes)
+		var jobs []Job
+		for _, topo := range scalingTopologies {
+			jobs = append(jobs, Job{Workload: w, Kind: KindDS, Nodes: nodes, MaxInstr: instr, Topology: topo})
+		}
+		return append(jobs, Job{Workload: w, Kind: KindTraditional, Nodes: nodes, MaxInstr: instr})
+	}, func(i int, res []JobResult) ScalingPoint {
+		nodes := counts[i%len(counts)]
+		if nodes == 0 {
+			perfect[i/len(counts)] = res[0].Trad.IPC
+			return ScalingPoint{}
+		}
+		busRun, ringRun := res[0].DS, res[1].DS
+		meshRun, torusRun := res[2].DS, res[3].DS
+		pt := ScalingPoint{
+			Nodes:   nodes,
+			DSBus:   busRun.IPC,
+			DSRing:  ringRun.IPC,
+			DSMesh:  meshRun.IPC,
+			DSTorus: torusRun.IPC,
+			Trad:    res[4].Trad.IPC,
+		}
+		if busRun.Cycles > 0 {
+			pt.BusUtil = float64(busRun.BusStats.BusyCycles.Value()) / float64(busRun.Cycles)
+		}
+		if meshRun.Cycles > 0 {
+			// Aggregate link-busy over the mesh's 4N directed links.
+			pt.MeshUtil = float64(meshRun.BusStats.BusyCycles.Value()) /
+				(float64(meshRun.Cycles) * float64(4*nodes))
+		}
+		return pt
 	})
 	if err != nil {
 		return out, err
 	}
-	for bi, name := range names {
-		row := ScalingRow{Benchmark: name}
-		base := bi*perBench + 1
-		for ni, nodes := range scalingNodeCounts {
-			i := base + ni*perJob
-			busRun, ringRun := res[i].DS, res[i+1].DS
-			meshRun, torusRun := res[i+2].DS, res[i+3].DS
-			trad := res[i+4].Trad
-			pt := ScalingPoint{
-				Nodes:        nodes,
-				DSBus:        busRun.IPC,
-				DSRing:       ringRun.IPC,
-				DSMesh:       meshRun.IPC,
-				DSTorus:      torusRun.IPC,
-				Trad:         trad.IPC,
-				OwnerCompute: ownerIPC[bi*len(scalingNodeCounts)+ni],
-			}
-			if busRun.Cycles > 0 {
-				pt.BusUtil = float64(busRun.BusStats.BusyCycles.Value()) / float64(busRun.Cycles)
-			}
-			if meshRun.Cycles > 0 {
-				// Aggregate link-busy over the mesh's 4N directed links.
-				pt.MeshUtil = float64(meshRun.BusStats.BusyCycles.Value()) /
-					(float64(meshRun.Cycles) * float64(4*nodes))
-			}
-			row.Points = append(row.Points, pt)
+	// The owner-compute replays are pure trace analyses; run them on the
+	// same worker pool, one per node-count point.
+	owner, err := runIndexed(ctx, opts.Parallel, len(pts), func(i int) (float64, error) {
+		if pts[i].Nodes == 0 {
+			return 0, nil
 		}
-		out.Rows = append(out.Rows, row)
+		pr, err := prepare(ws[i/len(counts)], opts.Scale)
+		if err != nil {
+			return 0, err
+		}
+		return ownerComputeIPC(pr, opts.RefInstr, pts[i].Nodes, perfect[i/len(counts)])
+	})
+	if err != nil {
+		return out, err
+	}
+	for i, pt := range pts {
+		if pt.Nodes == 0 {
+			out.Rows = append(out.Rows, ScalingRow{Benchmark: ws[i/len(counts)].Name})
+			continue
+		}
+		pt.OwnerCompute = owner[i]
+		row := &out.Rows[len(out.Rows)-1]
+		row.Points = append(row.Points, pt)
 	}
 	return out, nil
 }

@@ -59,7 +59,7 @@ type Options struct {
 	// job whose own Fault field is zero (see internal/fault). The zero
 	// value injects nothing and builds no fault layer, so every harness
 	// output stays byte-identical to a build without the fault subsystem
-	// (enforced by the zero-rate differential in faultdiff_test.go).
+	// (enforced by the zero-rate variants of TestHarnessDifferential).
 	Fault fault.Config
 	// Topology is the interconnect applied to every timing job that does
 	// not pin its own (the -topology CLI flag). The zero value is the

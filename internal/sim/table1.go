@@ -48,7 +48,6 @@ func (r Table1Result) Table() *stats.Table {
 // accounted under a conventional request/response system versus ESP.
 func Table1(ctx context.Context, opts Options) (Table1Result, error) {
 	opts = opts.withDefaults()
-	var out Table1Result
 	ws := workload.Table1Order()
 	rows, err := runIndexed(ctx, opts.Parallel, len(ws), func(i int) (Table1Row, error) {
 		pr, err := prepare(ws[i], opts.Scale)
@@ -73,9 +72,5 @@ func Table1(ctx context.Context, opts Options) (Table1Result, error) {
 			Detail:                 res,
 		}, nil
 	})
-	if err != nil {
-		return out, err
-	}
-	out.Rows = rows
-	return out, nil
+	return Table1Result{Rows: rows}, err
 }

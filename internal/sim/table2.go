@@ -56,7 +56,6 @@ func (r Table2Result) Table() *stats.Table {
 func Table2(ctx context.Context, opts Options) (Table2Result, error) {
 	opts = opts.withDefaults()
 	const nodes = 4
-	out := Table2Result{Nodes: nodes}
 	ws := workload.Table1Order()
 	rows, err := runIndexed(ctx, opts.Parallel, len(ws), func(i int) (Table2Row, error) {
 		pr, err := prepare(ws[i], opts.Scale)
@@ -69,11 +68,7 @@ func Table2(ctx context.Context, opts Options) (Table2Result, error) {
 		}
 		return row, nil
 	})
-	if err != nil {
-		return out, err
-	}
-	out.Rows = rows
-	return out, nil
+	return Table2Result{Nodes: nodes, Rows: rows}, err
 }
 
 func table2One(pr prepared, nodes int, refInstr uint64) (Table2Row, error) {

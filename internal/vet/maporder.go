@@ -3,6 +3,7 @@ package vet
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -10,7 +11,8 @@ import (
 // checkMapOrder flags range statements over maps whose bodies leak the
 // (randomized) iteration order into observable output: printing or
 // writing inside the loop, appending to a slice declared outside the
-// loop that is never subsequently sorted, or enqueueing messages.
+// loop that is never subsequently sorted, enqueueing messages, or
+// keeping one iteration's key or value and leaving the loop early.
 // Accumulating into another map, summing counters, and other
 // order-insensitive bodies are fine.
 func checkMapOrder(p *Package) []Diagnostic {
@@ -76,6 +78,75 @@ func (p *Package) mapOrderLeak(rng *ast.RangeStmt, encl *ast.FuncDecl) string {
 		if !p.sortedAfter(rng, encl, obj) {
 			return fmt.Sprintf("appends to %q with no subsequent sort", obj.Name())
 		}
+	}
+	return p.firstFoundLeak(rng)
+}
+
+// firstFoundLeak reports a body that keeps the first match it meets: it
+// copies the range key or value into a variable declared outside the
+// loop and leaves the loop early (break or return), or it returns an
+// expression of the key or value. Which element wins then depends on
+// iteration order.
+func (p *Package) firstFoundLeak(rng *ast.RangeStmt) string {
+	iter := map[types.Object]bool{}
+	for _, e := range []ast.Expr{rng.Key, rng.Value} {
+		if id, ok := e.(*ast.Ident); ok {
+			if obj := p.Info.ObjectOf(id); obj != nil {
+				iter[obj] = true
+			}
+		}
+	}
+	mentions := func(es []ast.Expr) bool {
+		found := false
+		for _, e := range es {
+			ast.Inspect(e, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				found = found || ok && iter[p.Info.Uses[id]]
+				return !found
+			})
+		}
+		return found
+	}
+	var copied types.Object
+	exits, returned := false, false
+	// walk scans n; nested is true inside a loop, switch or select of the
+	// body, where an unlabeled break no longer leaves this loop.
+	var walk func(n ast.Node, nested bool)
+	walk = func(n ast.Node, nested bool) {
+		ast.Inspect(n, func(c ast.Node) bool {
+			switch c := c.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+				if c != n {
+					walk(c, true)
+					return false
+				}
+			case *ast.BranchStmt:
+				exits = exits || c.Tok == token.BREAK && (c.Label != nil || !nested)
+			case *ast.ReturnStmt:
+				exits, returned = true, returned || mentions(c.Results)
+			case *ast.AssignStmt:
+				if !mentions(c.Rhs) {
+					break
+				}
+				for _, lhs := range c.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok {
+						if obj := p.Info.ObjectOf(id); obj != nil && (obj.Pos() < rng.Pos() || obj.Pos() > rng.End()) {
+							copied = obj
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	walk(rng.Body, false)
+	switch {
+	case returned:
+		return "returns one iteration's key or value"
+	case copied != nil && exits:
+		return fmt.Sprintf("copies one iteration's key or value into %q and leaves the loop early", copied.Name())
 	}
 	return ""
 }

@@ -52,3 +52,36 @@ func Audited(m map[string]int) []string {
 	}
 	return out
 }
+
+// FirstKey keeps whichever matching key iteration meets first: flagged.
+func FirstKey(m map[string]int, want int) string {
+	found := ""
+	for k, v := range m {
+		if v == want {
+			found = k
+			break
+		}
+	}
+	return found
+}
+
+// AnyKey returns one iteration's key: flagged.
+func AnyKey(m map[string]int) string {
+	for k := range m {
+		return k
+	}
+	return ""
+}
+
+// Contains assigns a constant before leaving early, so every iteration
+// order gives the same answer: clean.
+func Contains(m map[string]int, want int) bool {
+	found := false
+	for _, v := range m {
+		if v == want {
+			found = true
+			break
+		}
+	}
+	return found
+}
